@@ -12,6 +12,13 @@ The closed-form path is vectorized with numpy lookup tables: for a fixed
 evaluation set the bad pairs of one k-subset form a curve eta2 =
 f(eta1), so each subset marks at most q-1 grid cells instead of testing
 all (q-1)^2 pairs.
+
+It also runs once per orbit of evaluation sets under the group of maps
+x -> c * x^(p^j) (c nonzero, 0 <= j < m).  Such a map scales the
+coefficients (u, v, w) of every k-subset by (c^k, c^k, c^(2k)) (after
+applying the field automorphism), so it maps the bad eta pairs of a set
+one-to-one onto those of its image and every set in an orbit has the
+same tally.  Translations x -> x + b are not symmetries of the count.
 """
 
 from __future__ import annotations
@@ -20,8 +27,9 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
-from multiprocessing import get_context
+from multiprocessing import get_all_start_methods, get_context
 from typing import Iterator, Optional
 
 import numpy as np
@@ -44,6 +52,10 @@ from .field import Field, FieldSpec
 
 ENUM_BUDGET = 10**9
 
+# start method of the counting pool: fork shares the parent's kernel cache,
+# spawn is the portable fallback
+_START_METHOD = "fork" if "fork" in get_all_start_methods() else "spawn"
+
 
 @dataclass(frozen=True)
 class EnumTask:
@@ -55,6 +67,7 @@ class EnumTask:
     seed: int = 0
 
     def __post_init__(self):
+        _kernel(self.q)  # q must be a prime power <= 2^16
         if self.criterion not in ("remark44", "bruteforce"):
             raise ValueError(f"unknown criterion {self.criterion!r}")
         if self.k < 2:
@@ -82,8 +95,102 @@ class EnumResult:
     per_set: Optional[dict] = None
 
 
-_TABLE_CACHE: dict[FieldSpec, tuple] = {}
+class _FieldKernel:
+    """What counting needs for one field order, built once per process:
+    the default field, its dense numpy add/mul/neg/inv tables and the
+    orbit keys of evaluation sets.  Only the spec is built eagerly, so
+    creating one validates q cheaply."""
+
+    def __init__(self, q: int):
+        self.spec = FieldSpec.of_order(q)
+        self.q = q
+        # element dtype of the tables and of evaluation-set arrays
+        self.dtype = np.int16 if q <= 2**15 else np.int32
+
+    @cached_property
+    def field(self) -> Field:
+        return Field(self.spec)
+
+    @cached_property
+    def _exp_log(self) -> tuple[np.ndarray, np.ndarray]:
+        """exp over two periods, and log of the nonzero elements 1..q-1."""
+        ctx = self.field
+        return np.array(ctx._exp, np.int64), np.array(ctx._log[1:], np.int64)
+
+    @cached_property
+    def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Dense add, mul, neg and inv arrays indexed by element."""
+        q, p, dt = self.q, self.spec.p, self.dtype
+        add = np.zeros((q, q), dt)
+        neg = np.zeros(q, dt)
+        for j in range(self.spec.m):  # digit-wise mod p
+            digit = (np.arange(q, dtype=dt) // p**j) % p
+            add += (digit[:, None] + digit[None, :]) % p * p**j
+            neg += (-digit) % p * p**j
+        exp, log = self._exp_log
+        mul = np.zeros((q, q), dt)
+        mul[1:, 1:] = exp[log[:, None] + log[None, :]]
+        inv = np.zeros(q, dt)
+        inv[1:] = exp[(q - 1 - log) % (q - 1)]
+        return add, mul, neg, inv
+
+    def orbits(self, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(first, inverse) for the orbits of the rows of sets, every sorted
+        n-subset once, under the maps x -> c * x^(p^j): sets[first] holds
+        one representative per orbit and inverse maps each set to its orbit.
+
+        Sets are numbered by colex rank, a bijection onto [0, C(q, n)), so
+        the key of a set, the least rank of its images, is an exact int64
+        for every q.  The generators x -> gamma * x and x -> x^p act on the
+        ranks as two permutations built once; the key is then a running
+        minimum over the group, one element at a time."""
+        q, p, m = self.q, self.spec.p, self.spec.m
+        e = q - 1
+        n = sets.shape[1]
+        total = comb(q, n)
+        # binom[a, i] = C(a, i + 1); the entries a rank can use are below C(q, n)
+        binom = np.array(
+            [[min(comb(a, i + 1), total) for i in range(n)] for a in range(q)], np.int64
+        )
+        cols = np.arange(n)
+        exp, log = self._exp_log
+
+        def ranks(nonzero_image: np.ndarray) -> np.ndarray:
+            perm = np.zeros(q, self.dtype)  # 0 is fixed by every map
+            perm[1:] = nonzero_image
+            img = perm[sets]
+            img.sort(axis=1)
+            return binom[img, cols].sum(axis=1)
+
+        rank = ranks(exp[log])
+        scale = np.empty(total, np.int64)
+        scale[rank] = ranks(exp[log + 1])
+        frob = np.empty(total, np.int64)
+        frob[rank] = ranks(exp[(log * p) % e])
+        base = np.arange(total)
+        least = base.copy()
+        for _ in range(m):
+            cur = base
+            for _ in range(e - 1):
+                cur = scale[cur]
+                np.minimum(least, cur, out=least)
+            base = frob[base]
+            np.minimum(least, base, out=least)
+        _, first, inverse = np.unique(least[rank], return_index=True, return_inverse=True)
+        return first, inverse
+
+
+_KERNELS: dict[int, _FieldKernel] = {}
 _SUBSET_CACHE: dict[tuple[int, int], np.ndarray] = {}
+
+
+def _kernel(q: int) -> _FieldKernel:
+    """The cached kernel context of GF(q); raises unless q is a prime
+    power <= 2^16."""
+    kern = _KERNELS.get(q)
+    if kern is None:
+        kern = _KERNELS[q] = _FieldKernel(q)
+    return kern
 
 
 def _subset_indices(n: int, k: int) -> np.ndarray:
@@ -93,32 +200,19 @@ def _subset_indices(n: int, k: int) -> np.ndarray:
     return _SUBSET_CACHE[key]
 
 
-def _field_tables(ctx: Field):
-    """Dense numpy add/mul/neg/inv tables for a small field (q <= 256)."""
-    cached = _TABLE_CACHE.get(ctx.spec)
-    if cached is not None:
-        return cached
-    q = ctx.q
-    add = np.empty((q, q), np.int16)
-    mul = np.empty((q, q), np.int16)
-    for x in range(q):
-        for y in range(q):
-            add[x, y] = ctx.add(x, y)
-            mul[x, y] = ctx.mul(x, y)
-    neg = np.array([ctx.neg(x) for x in range(q)], np.int16)
-    inv = np.array([0] + [ctx.inv(x) for x in range(1, q)], np.int16)
-    tables = (add, mul, neg, inv)
-    _TABLE_CACHE[ctx.spec] = tables
-    return tables
+def _all_sets(kern: _FieldKernel, n: int) -> np.ndarray:
+    """Every n-subset of GF(q), sorted rows in lexicographic order."""
+    flat = itertools.chain.from_iterable(itertools.combinations(range(kern.q), n))
+    return np.fromiter(flat, kern.dtype, comb(kern.q, n) * n).reshape(-1, n)
 
 
-def _remark44_set_counts(ctx: Field, n: int, k: int, sets_arr: np.ndarray) -> np.ndarray:
+def _remark44_set_counts(kern: _FieldKernel, n: int, k: int, sets_arr: np.ndarray) -> np.ndarray:
     """Per-evaluation-set tally of eta pairs passing the closed form.
 
     sets_arr has shape (B, n); returns a (B,) int64 vector.
     """
-    add, mul, neg, inv = _field_tables(ctx)
-    q = ctx.q
+    add, mul, neg, inv = kern.tables
+    q = kern.q
     bsz = sets_arr.shape[0]
     idx = _subset_indices(n, k)
     vals = sets_arr[:, idx]  # (B, S, k)
@@ -129,7 +223,7 @@ def _remark44_set_counts(ctx: Field, n: int, k: int, sets_arr: np.ndarray) -> np
         e1 = add[e1, vals[:, :, j]]
         ek = mul[ek, vals[:, :, j]]
     # e_{k-1} = sum over j of the product with position j left out
-    ones = np.ones(vals.shape[:2], np.int16)
+    ones = np.ones(vals.shape[:2], kern.dtype)
     pre = [ones]
     for j in range(k - 1):
         pre.append(mul[pre[-1], vals[:, :, j]])
@@ -141,7 +235,7 @@ def _remark44_set_counts(ctx: Field, n: int, k: int, sets_arr: np.ndarray) -> np
     for j in range(1, k):
         ekm1 = add[ekm1, mul[pre[j], suf[j]]]
 
-    sign_k = ctx.sign(k)
+    sign_k = kern.field.sign(k)
     u = mul[sign_k][ek]  # coefficient of eta1
     v = mul[sign_k][add[mul[ekm1, e1], neg[ek]]]  # coefficient of eta2
     w = mul[ek, ek]  # coefficient of eta1*eta2
@@ -174,51 +268,63 @@ def _bruteforce_set_count(ctx: Field, n: int, k: int, subset) -> int:
     return count
 
 
-def _count_chunk(args) -> list[int]:
-    """Per-set tallies for one contiguous chunk of evaluation sets."""
+def _count_chunk(args) -> np.ndarray:
+    """Per-set tallies for one chunk of evaluation sets."""
     q, n, k, criterion, chunk = args
-    ctx = Field.of_order(q)
+    kern = _kernel(q)
     if criterion == "bruteforce":
-        return [_bruteforce_set_count(ctx, n, k, s) for s in chunk]
-    out: list[int] = []
+        ctx = kern.field
+        return np.array([_bruteforce_set_count(ctx, n, k, s) for s in chunk.tolist()], np.int64)
     sk = comb(n, k)
     # keep both the (B, S, k) value tensor and the (B, q, q) grids small
     batch = max(1, min(4_000_000 // max(1, sk * k), 8_000_000 // (q * q)))
-    for i in range(0, len(chunk), batch):
-        arr = np.array(chunk[i : i + batch], np.int16)
-        out.extend(int(c) for c in _remark44_set_counts(ctx, n, k, arr))
-    return out
+    return np.concatenate(
+        [_remark44_set_counts(kern, n, k, chunk[i : i + batch]) for i in range(0, len(chunk), batch)]
+    )
 
 
 def count_mds_double_twisted(
     task: EnumTask, histogram: bool = False, budget: int = ENUM_BUDGET
 ) -> EnumResult:
     """Number of (evaluation set, eta pair) combinations giving an MDS
-    double-twisted code with twists (1, 2) and hooks (0, 1)."""
+    double-twisted code with twists (1, 2) and hooks (0, 1).
+
+    The closed form runs on one representative per orbit of evaluation
+    sets; the brute-force oracle runs on every set."""
     if task.cost > budget:
         raise BudgetExceededError(
             f"task cost {task.cost} exceeds the enumeration budget {budget}"
         )
     start = time.perf_counter()
-    sets = list(itertools.combinations(range(task.q), task.n))
-    if task.seed:
-        # load-balancing shuffle of the worker partition; the summed tally
-        # is order-independent, so any seed gives the same result
-        random.Random(task.seed).shuffle(sets)
-    workers = min(task.workers, len(sets)) or 1
-    if workers == 1:
-        tallies = _count_chunk((task.q, task.n, task.k, task.criterion, sets))
+    kern = _kernel(task.q)
+    sets = _all_sets(kern, task.n)
+    if task.criterion == "remark44":
+        first, inverse = kern.orbits(sets)
+        work = sets[first]
     else:
-        bounds = [round(i * len(sets) / workers) for i in range(workers + 1)]
-        jobs = [
-            (task.q, task.n, task.k, task.criterion, sets[bounds[i] : bounds[i + 1]])
-            for i in range(workers)
-        ]
-        with get_context("fork").Pool(workers) as pool:
+        work, inverse = sets, None
+    order = np.arange(len(work))
+    if task.seed:
+        # load-balancing shuffle of the worker partition; the tallies are
+        # put back in place, so any seed gives the same result
+        order = np.array(random.Random(task.seed).sample(range(len(work)), len(work)))
+    workers = min(task.workers, len(work))
+    bounds = [round(i * len(work) / workers) for i in range(workers + 1)]
+    jobs = [
+        (task.q, task.n, task.k, task.criterion, work[order[bounds[i] : bounds[i + 1]]])
+        for i in range(workers)
+    ]
+    if workers == 1:
+        parts = [_count_chunk(jobs[0])]
+    else:
+        with get_context(_START_METHOD).Pool(workers) as pool:
             parts = pool.map(_count_chunk, jobs)
-        tallies = [c for part in parts for c in part]
-    per_set = dict(zip(sets, tallies)) if histogram else None
-    total = sum(tallies)
+    tallies = np.empty(len(work), np.int64)
+    tallies[order] = np.concatenate(parts)
+    if inverse is not None:
+        tallies = tallies[inverse]
+    total = int(tallies.sum())
+    per_set = dict(zip(map(tuple, sets.tolist()), tallies.tolist())) if histogram else None
     assert total <= comb(task.q, task.n) * (task.q - 1) ** 2
     return EnumResult(
         total_count=total,

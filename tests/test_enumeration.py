@@ -4,14 +4,19 @@ import itertools
 
 import pytest
 
+from twistedrs import enumeration
 from twistedrs.codes import BudgetExceededError
 from twistedrs.criteria import remark44_is_mds
 from twistedrs.enumeration import (
     EnumTask,
     SearchHit,
+    _all_sets,
+    _kernel,
+    _remark44_set_counts,
     count_mds_double_twisted,
     search_mds,
 )
+from twistedrs.field import Field
 
 
 def test_task_validation():
@@ -23,6 +28,10 @@ def test_task_validation():
         EnumTask(5, 6, 2)
     with pytest.raises(ValueError, match="criterion"):
         EnumTask(5, 4, 2, "magic")
+    with pytest.raises(ValueError, match="prime power"):
+        EnumTask(6, 4, 2)
+    with pytest.raises(ValueError, match="2\\^16"):
+        EnumTask(2**17, 4, 2)
 
 
 def test_budget_guard():
@@ -60,6 +69,58 @@ def test_partition_seed_never_changes_counts():
         res = count_mds_double_twisted(EnumTask(7, 5, 3, seed=seed, workers=2), histogram=True)
         assert res.total_count == base.total_count
         assert res.per_set == base.per_set  # same tallies, different worker order
+
+
+def test_spawned_workers_match_one_worker(monkeypatch):
+    base = count_mds_double_twisted(EnumTask(7, 5, 3), histogram=True)
+    monkeypatch.setattr(enumeration, "_START_METHOD", "spawn")
+    res = count_mds_double_twisted(EnumTask(7, 5, 3, workers=2), histogram=True)
+    assert res.per_set == base.per_set
+
+
+# -- kernel context and orbit reduction ------------------------------------------
+
+
+@pytest.mark.parametrize("q", [4, 9, 16, 17, 25, 64])
+def test_kernel_tables_match_scalar_field(q):
+    ctx = Field.of_order(q)
+    add, mul, neg, inv = _kernel(q).tables
+    for x in range(q):
+        assert add[x].tolist() == [ctx.add(x, y) for y in range(q)]
+        assert mul[x].tolist() == [ctx.mul(x, y) for y in range(q)]
+    assert neg.tolist() == [ctx.neg(x) for x in range(q)]
+    assert inv.tolist() == [0] + [ctx.inv(x) for x in range(1, q)]
+
+
+@pytest.mark.parametrize(
+    "q,n,k",
+    [(7, 5, 3), (9, 6, 3), (8, 6, 2), (11, 6, 4), (16, 7, 3), (25, 4, 2), (27, 4, 2), (64, 63, 2)],
+)
+def test_orbit_reduced_count_matches_every_set(q, n, k):
+    kern = _kernel(q)
+    sets = _all_sets(kern, n)
+    unreduced = _remark44_set_counts(kern, n, k, sets)
+    res = count_mds_double_twisted(EnumTask(q, n, k), histogram=True)
+    assert res.per_set == dict(zip(map(tuple, sets.tolist()), unreduced.tolist()))
+    assert res.total_count == int(unreduced.sum())
+
+
+@pytest.mark.parametrize(
+    "q,n,orbits",
+    [(16, 7, 206), (17, 5, 389), (16, 5, 83), (9, 6, 8), (25, 4, 285), (27, 4, 234)],
+)
+def test_orbit_counts(q, n, orbits):
+    kern = _kernel(q)
+    first, inverse = kern.orbits(_all_sets(kern, n))
+    assert len(first) == orbits
+    assert (inverse[first] == range(orbits)).all()
+
+
+def test_translation_changes_tallies():
+    # x -> x + 1 is not a symmetry of the count, so orbits must not use it
+    per_set = count_mds_double_twisted(EnumTask(7, 5, 3), histogram=True).per_set
+    shifted = {s: tuple(sorted((x + 1) % 7 for x in s)) for s in per_set}
+    assert sum(per_set[s] != per_set[shifted[s]] for s in per_set) == 18
 
 
 # -- search ---------------------------------------------------------------------
