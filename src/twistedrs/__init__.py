@@ -25,7 +25,7 @@ from .criteria import (
     theorem42_is_mds,
 )
 from .enumeration import EnumResult, EnumTask, SearchHit, count_mds_double_twisted, search_mds
-from .field import Field, FieldSpec, default_modulus, field_new, format_element, parse_element
+from .field import Field, FieldSpec, default_modulus
 from .hull import (
     GramParts,
     HullReport,
@@ -61,9 +61,7 @@ __all__ = [
     "default_modulus",
     "dual_code",
     "encode",
-    "field_new",
     "forbidden_eta_sets",
-    "format_element",
     "generator_matrix",
     "gram_decomposition",
     "hull_direct",
@@ -71,7 +69,6 @@ __all__ = [
     "is_mds_bruteforce",
     "mds_system_matrix",
     "min_distance_bruteforce",
-    "parse_element",
     "power_sum_theta",
     "remark44_is_mds",
     "row_space_intersection",

@@ -19,6 +19,9 @@ coefficients (u, v, w) of every k-subset by (c^k, c^k, c^(2k)) (after
 applying the field automorphism), so it maps the bad eta pairs of a set
 one-to-one onto those of its image and every set in an orbit has the
 same tally.  Translations x -> x + b are not symmetries of the count.
+
+numpy is imported inside the functions that use it, so importing this
+module, as the package and the CLI do, does not load numpy.
 """
 
 from __future__ import annotations
@@ -31,8 +34,6 @@ from functools import cached_property
 from math import comb
 from multiprocessing import get_all_start_methods, get_context
 from typing import Iterator, Optional
-
-import numpy as np
 
 from .codes import (
     BudgetExceededError,
@@ -102,6 +103,7 @@ class _FieldKernel:
     creating one validates q cheaply."""
 
     def __init__(self, q: int):
+        import numpy as np
         self.spec = FieldSpec.of_order(q)
         self.q = q
         # element dtype of the tables and of evaluation-set arrays
@@ -114,12 +116,14 @@ class _FieldKernel:
     @cached_property
     def _exp_log(self) -> tuple[np.ndarray, np.ndarray]:
         """exp over two periods, and log of the nonzero elements 1..q-1."""
+        import numpy as np
         ctx = self.field
         return np.array(ctx._exp, np.int64), np.array(ctx._log[1:], np.int64)
 
     @cached_property
     def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Dense add, mul, neg and inv arrays indexed by element."""
+        import numpy as np
         q, p, dt = self.q, self.spec.p, self.dtype
         add = np.zeros((q, q), dt)
         neg = np.zeros(q, dt)
@@ -144,6 +148,7 @@ class _FieldKernel:
         for every q.  The generators x -> gamma * x and x -> x^p act on the
         ranks as two permutations built once; the key is then a running
         minimum over the group, one element at a time."""
+        import numpy as np
         q, p, m = self.q, self.spec.p, self.spec.m
         e = q - 1
         n = sets.shape[1]
@@ -194,6 +199,7 @@ def _kernel(q: int) -> _FieldKernel:
 
 
 def _subset_indices(n: int, k: int) -> np.ndarray:
+    import numpy as np
     key = (n, k)
     if key not in _SUBSET_CACHE:
         _SUBSET_CACHE[key] = np.array(list(itertools.combinations(range(n), k)), np.intp)
@@ -202,6 +208,7 @@ def _subset_indices(n: int, k: int) -> np.ndarray:
 
 def _all_sets(kern: _FieldKernel, n: int) -> np.ndarray:
     """Every n-subset of GF(q), sorted rows in lexicographic order."""
+    import numpy as np
     flat = itertools.chain.from_iterable(itertools.combinations(range(kern.q), n))
     return np.fromiter(flat, kern.dtype, comb(kern.q, n) * n).reshape(-1, n)
 
@@ -211,6 +218,7 @@ def _remark44_set_counts(kern: _FieldKernel, n: int, k: int, sets_arr: np.ndarra
 
     sets_arr has shape (B, n); returns a (B,) int64 vector.
     """
+    import numpy as np
     add, mul, neg, inv = kern.tables
     q = kern.q
     bsz = sets_arr.shape[0]
@@ -270,6 +278,7 @@ def _bruteforce_set_count(ctx: Field, n: int, k: int, subset) -> int:
 
 def _count_chunk(args) -> np.ndarray:
     """Per-set tallies for one chunk of evaluation sets."""
+    import numpy as np
     q, n, k, criterion, chunk = args
     kern = _kernel(q)
     if criterion == "bruteforce":
@@ -291,6 +300,7 @@ def count_mds_double_twisted(
 
     The closed form runs on one representative per orbit of evaluation
     sets; the brute-force oracle runs on every set."""
+    import numpy as np
     if task.cost > budget:
         raise BudgetExceededError(
             f"task cost {task.cost} exceeds the enumeration budget {budget}"

@@ -5,7 +5,9 @@ are the coefficients of its residue-class polynomial, so index 0 is the
 additive identity and the element with coefficient vector (1, 0, ..., 0)
 is the multiplicative identity.  Multiplication, inversion and powering go
 through discrete log / antilog tables built from a verified primitive
-element; addition is digit-wise mod p (plain XOR when p == 2).
+element; addition is digit-wise mod p: plain XOR when p == 2, integer
+addition mod p when m == 1, and otherwise lookups in a table of digit-wise
+sums of two chunks of floor(m/2) digits.
 
 Only fields up to q = 2^16 are supported.  That keeps every table small
 and makes exhaustive element scans cheap, which is what the enumeration
@@ -157,7 +159,8 @@ class Field:
     """A concrete GF(p^m) with log/antilog tables.
 
     Immutable after construction; one instance can be shared freely across
-    workers.  All operations are pure functions of (field, operands).
+    workers.  All operations are pure functions of (field, operands).  The
+    state is plain ints and lists, so an instance pickles.
     """
 
     def __init__(self, spec: FieldSpec):
@@ -173,6 +176,7 @@ class Field:
             self.a: FieldElement = self.p
         else:
             self.a = (-self.modulus[0]) % self.p
+        self._build_addition()
         self.gamma = self._find_primitive()
         self._build_tables()
 
@@ -220,47 +224,92 @@ class Field:
                 return g
         raise ValueError("no primitive element found; modulus is not irreducible")
 
+    def _build_addition(self):
+        """Lookup tables for odd-p addition and negation, each with at most q
+        entries: digit-wise sums of two chunks of floor(m/2) base-p digits,
+        and the negation of every element.  p == 2 needs neither (XOR)."""
+        p, m = self.p, self.m
+        self._chunk = p ** (m // 2)
+        if p == 2:
+            self._add_table, self._neg = [], []
+            return
+        rows = [[0]]  # rows[a][b] = a + b digit-wise, for a, b < p^j
+        for j in range(m // 2):
+            w = p**j
+            rows = [
+                [v + w * ((da + db) % p) for db in range(p) for v in rows[ra]]
+                for da in range(p)
+                for ra in range(w)
+            ]
+        self._add_table = rows
+        neg = [0]
+        for j in range(m):
+            w = p**j
+            neg = neg + [(p - d) * w + v for d in range(1, p) for v in neg]
+        self._neg = neg
+
+    def _span(self, basis: list[FieldElement]) -> list[FieldElement]:
+        """Table of sum_j d_j * basis[j], indexed by the base-p number with
+        digits d_j."""
+        add = self.add
+        table = [0]
+        for b in basis:
+            multiples = [0]
+            for _ in range(self.p - 1):
+                multiples.append(add(multiples[-1], b))
+            table = [add(s, v) for s in multiples for v in table]
+        return table
+
     def _build_tables(self):
-        n = self.q - 1
-        self._exp = [0] * (2 * n if n > 1 else 2)
-        self._log = [-1] * self.q
+        """Walk the powers of gamma with table lookups only.
+
+        Multiplication by gamma is GF(p)-linear on digit vectors, so for
+        x = lo + p^h * hi it is low[lo] + high[hi], where low and high are
+        spanned by the m products p^j * gamma, the only schoolbook products
+        taken here."""
+        p, m, n = self.p, self.m, self.q - 1
+        h = (m + 1) // 2
+        basis = [self._mul_schoolbook(p**j, self.gamma) for j in range(m)]
+        low, high = self._span(basis[:h]), self._span(basis[h:])
+        split = p**h
+        add = self.add
+        exp = [0] * n
+        log = [-1] * self.q
         x = self.one
         for i in range(n):
-            self._exp[i] = x
-            self._log[x] = i
-            x = self._mul_schoolbook(x, self.gamma)
-        if x != self.one or any(v < 0 for v in self._log[1:]):
+            exp[i] = x
+            log[x] = i
+            x = add(low[x % split], high[x // split])
+        if x != self.one or any(v < 0 for v in log[1:]):
             raise ValueError("primitive element does not generate the field")
-        for i in range(n, len(self._exp)):
-            self._exp[i] = self._exp[i - n]
+        self._exp = exp + exp  # two periods, so mul needs no reduction
+        self._log = log
 
     # -- arithmetic ----------------------------------------------------------
 
     def add(self, x: FieldElement, y: FieldElement) -> FieldElement:
         if self.p == 2:
             return x ^ y
-        out, pk = 0, 1
-        for _ in range(self.m):
-            out += ((x + y) % self.p) * pk
-            x //= self.p
-            y //= self.p
-            pk *= self.p
-        return out
+        c = self._chunk
+        if c == 1:  # m == 1: the prime field itself
+            return (x + y) % self.p
+        t = self._add_table
+        lo = t[x % c][y % c]
+        x //= c
+        y //= c
+        if x < c and y < c:
+            return lo + c * t[x][y]
+        return lo + c * (t[x % c][y % c] + c * t[x // c][y // c])  # odd m: one more digit
 
     def neg(self, x: FieldElement) -> FieldElement:
         if self.p == 2:
             return x
-        out, pk = 0, 1
-        for _ in range(self.m):
-            out += ((-x) % self.p) * pk
-            x //= self.p
-            pk *= self.p
-        return out
+        return self._neg[x]
 
     def sub(self, x: FieldElement, y: FieldElement) -> FieldElement:
         if self.p == 2:
             return x ^ y
-        return self.add(x, self.neg(y))
+        return self.add(x, self._neg[y])
 
     def mul(self, x: FieldElement, y: FieldElement) -> FieldElement:
         if x == 0 or y == 0:
@@ -376,24 +425,3 @@ class Field:
     def __hash__(self):
         return hash(self.spec)
 
-
-def field_new(spec: FieldSpec) -> Field:
-    """Construct a field context from a validated spec."""
-    return Field(spec)
-
-
-def parse_element(ctx: Field, s: str) -> FieldElement:
-    return ctx.parse(s)
-
-
-def format_element(ctx: Field, x: FieldElement) -> str:
-    return ctx.format(x)
-
-
-def parse_field_flag(text: str) -> FieldSpec:
-    """Parse the 'p,m,c0,c1,...,cm' field description used by the CLI."""
-    parts = [int(t) for t in text.split(",")]
-    if len(parts) < 3:
-        raise ValueError("field flag must look like 'p,m,c0,c1,...,cm'")
-    p, m, coeffs = parts[0], parts[1], tuple(parts[2:])
-    return FieldSpec(p, m, coeffs)

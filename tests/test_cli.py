@@ -1,9 +1,14 @@
 """CLI subcommands: JSON output, exit codes, profile round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import twistedrs
 from twistedrs.cli import cli_main
 from twistedrs.enumeration import EnumTask, count_mds_double_twisted
 
@@ -171,3 +176,13 @@ def test_field_flags_p_m_modulus(capsys):
     )
     assert code == 0
     assert [v["method"] for v in doc["verdicts"]] == ["theorem31"]
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    src = str(Path(twistedrs.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, twistedrs, twistedrs.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert proc.stdout.strip() == "False"

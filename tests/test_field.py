@@ -1,11 +1,12 @@
 """Field arithmetic against independent schoolbook oracles."""
 
+import pickle
 import random
 
 import numpy as np
 import pytest
 
-from twistedrs.field import Field, FieldSpec, default_modulus, field_new, parse_field_flag
+from twistedrs.field import Field, FieldSpec, default_modulus
 
 
 # -- independent oracle: coefficient-vector arithmetic, no tables ------------
@@ -52,7 +53,7 @@ def test_f16_paper_field(f16):
 
 
 def test_gf2_with_x_plus_one():
-    f2 = field_new(FieldSpec(2, 1, (1, 1)))
+    f2 = Field(FieldSpec(2, 1, (1, 1)))
     assert f2.q == 2
     assert f2.gamma == 1
     assert f2.add(1, 1) == 0
@@ -107,7 +108,7 @@ def test_default_moduli_are_irreducible_up_to_1024():
             specs.append((p, m))
             m += 1
     for p, m in specs:
-        ctx = field_new(FieldSpec(p, m, default_modulus(p, m)))  # construction validates
+        ctx = Field(FieldSpec(p, m, default_modulus(p, m)))  # construction validates
         assert ctx.q == p**m
     assert default_modulus(2, 4) == (1, 1, 0, 0, 1)
     assert default_modulus(3, 4) == (2, 0, 0, 2, 1)
@@ -189,6 +190,78 @@ def test_gamma_has_full_order(f16, f81):
         for d in range(1, n):
             if n % d == 0:
                 assert ctx.pow(ctx.gamma, d) != ctx.one
+
+
+
+# -- log tables and addition vs oracle, small and large q ----------------------
+
+SMALL_PRIME_POWERS = [
+    p**m for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31) for m in range(2, 11) if p**m <= 1024
+]
+# the six large fields, each with its smallest-index primitive element
+LARGE_FIELDS = [(4096, 3), (6561, 38), (50653, 75), (59049, 34), (65521, 17), (65536, 3)]
+
+
+def _check_walk(ctx, indices):
+    for i in indices:
+        assert ctx._exp[i + 1] == oracle_mul(ctx.p, ctx.modulus, ctx._exp[i], ctx.gamma)
+    assert all(ctx._log[ctx._exp[i]] == i for i in range(ctx.q - 1))
+
+
+@pytest.mark.parametrize("q", SMALL_PRIME_POWERS + [2, 3, 7, 17, 1021])
+def test_log_tables_follow_gamma_exhaustive(q):
+    ctx = Field.of_order(q)
+    _check_walk(ctx, range(ctx.q - 1))
+
+
+@pytest.mark.parametrize("q, gamma", LARGE_FIELDS)
+def test_log_tables_follow_gamma_sampled(q, gamma):
+    ctx = Field.of_order(q)
+    assert ctx.gamma == gamma
+    rng = random.Random(q)
+    _check_walk(ctx, [rng.randrange(q - 1) for _ in range(2000)])
+
+
+def _check_add(ctx, pairs):
+    p, m = ctx.p, ctx.m
+    for x, y in pairs:
+        s = oracle_add(p, m, x, y)
+        assert ctx.add(x, y) == s
+        assert ctx.sub(s, y) == x
+        assert oracle_add(p, m, y, ctx.neg(y)) == 0
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 49, 81, 243])
+def test_add_neg_sub_exhaustive_odd(q):
+    ctx = Field.of_order(q)
+    _check_add(ctx, [(x, y) for x in range(q) for y in range(q)])
+
+
+@pytest.mark.parametrize("q", [q for q, _ in LARGE_FIELDS])
+def test_add_neg_sub_sampled_large(q):
+    ctx = Field.of_order(q)
+    rng = random.Random(q + 1)
+    pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
+    _check_add(ctx, pairs)
+    # no lookup table holds more than q entries, and the state pickles
+    assert len(ctx._add_table) ** 2 <= q and len(ctx._neg) <= q
+    twin = pickle.loads(pickle.dumps(ctx))
+    assert [twin.add(x, y) for x, y in pairs] == [ctx.add(x, y) for x, y in pairs]
+
+
+@pytest.mark.parametrize("q", [4096, 65536])
+def test_table_build_takes_few_schoolbook_products(q, monkeypatch):
+    calls = 0
+    schoolbook = Field._mul_schoolbook
+
+    def counting(self, x, y):
+        nonlocal calls
+        calls += 1
+        return schoolbook(self, x, y)
+
+    monkeypatch.setattr(Field, "_mul_schoolbook", counting)
+    Field.of_order(q)
+    assert calls < 1000
 
 
 # -- subfields -----------------------------------------------------------------
@@ -276,9 +349,3 @@ def test_random_string_fuzz_round_trip(f16, f81):
         x = ctx.parse(s)
         assert ctx.parse(ctx.format(x)) == x  # canonical form is a fixed point
 
-
-def test_parse_field_flag():
-    spec = parse_field_flag("2,4,1,1,0,0,1")
-    assert spec.q == 16 and spec.modulus == (1, 1, 0, 0, 1)
-    with pytest.raises(ValueError):
-        parse_field_flag("2,4")
