@@ -220,7 +220,6 @@ def _cmd_search(args) -> dict:
         alpha=alpha,
         seed=args.seed,
         trials=args.trials,
-        prune=not args.no_prune,
     )
     for hit in stream:
         hits.append(
@@ -302,7 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--limit", type=int, default=0, help="stop after this many hits (0 = all)")
-    p.add_argument("--no-prune", action="store_true")
     p.set_defaults(fn=_cmd_search)
 
     return ap

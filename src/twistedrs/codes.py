@@ -165,7 +165,6 @@ class LinearCodeView:
         self.k = g.rows
         if g.rank() != self.k:
             raise ValueError("generator matrix is not full rank")
-        self.d: Optional[int] = None  # cached once computed
 
     @classmethod
     def of_code(cls, code: MultiTwistedCode) -> "LinearCodeView":
@@ -209,7 +208,6 @@ def min_distance_bruteforce(view: LinearCodeView, budget: int = DEFAULT_SCAN_BUD
             best = w
             if best == 1:
                 break
-    view.d = best
     return best
 
 

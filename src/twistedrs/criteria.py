@@ -208,17 +208,6 @@ def forbidden_eta_sets(ctx: Field, alpha, k: int, eta2: FieldElement):
     return frozenset(eta1_excl), frozenset(eta2_excl)
 
 
-def eta2_guard_values(ctx: Field, alpha, k: int) -> frozenset:
-    """The values (-1)^k / prod over k-subsets of nonzero points; at these
-    eta2 the rational eta1 exclusion is undefined."""
-    nz = [x for x in alpha if x != 0]
-    sign_k = ctx.sign(k)
-    return frozenset(
-        ctx.mul(sign_k, ctx.inv(ctx.prod(vals)))
-        for vals in itertools.combinations(nz, k)
-    )
-
-
 def remark44_expression(ctx: Field, values, k: int, eta1, eta2) -> FieldElement:
     """1 - eta1 (-1)^k e_k + eta2 (-1)^k (e_{k-1} e_1 - e_k) + eta1 eta2 e_k^2
     for one k-subset of evaluation values (zeros allowed)."""

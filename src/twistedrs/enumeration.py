@@ -42,13 +42,7 @@ from .codes import (
     TwistProfile,
     is_mds_bruteforce,
 )
-from .criteria import (
-    DOUBLE_TWIST,
-    eta2_guard_values,
-    forbidden_eta_sets,
-    remark44_is_mds,
-    theorem31_is_mds,
-)
+from .criteria import DOUBLE_TWIST, remark44_is_mds, theorem31_is_mds
 from .field import Field, FieldSpec
 
 ENUM_BUDGET = 10**9
@@ -364,16 +358,14 @@ def search_mds(
     alpha: Optional[tuple] = None,
     seed: int = 0,
     trials: int = 1000,
-    prune: bool = True,
 ) -> Iterator[SearchHit]:
     """Stream of (alpha, eta) pairs whose code is MDS.
 
-    For the double-twist layout the forbidden-eta exclusion sets act as a
-    sound fast-accept: a pair avoiding every exclusion (at an eta2 where
-    the rational exclusion is defined for every subset) is emitted without
-    further work, everything else falls through to the closed-form check.
-    Pruning never changes the emitted set.  Other layouts use the general
-    subset-system criterion.
+    The exhaustive strategy walks evaluation vectors in lexicographic order
+    and, for each, every eta tuple in lexicographic order; the random one
+    draws seeded (alpha, eta) pairs.  Each pair of the double-twist layout
+    is decided by the Remark 4.4 closed form, any other layout by the
+    Theorem 3.1 subset system, and the hit carries that method's name.
     """
     t, h = tuple(t), tuple(h)
     ell = len(t)
@@ -388,24 +380,11 @@ def search_mds(
             raise ValueError("fixed alpha must have length n")
     special = (t, h) == DOUBLE_TWIST
 
-    def check(al, eta, fast_sets):
+    def check(al, eta):
         if special:
-            if prune and fast_sets is not None:
-                iv_excl, guards = fast_sets
-                if eta[1] not in iv_excl and eta[1] not in guards:
-                    eta1_excl, _ = forbidden_eta_sets(ctx, al, k, eta[1])
-                    if eta[0] not in eta1_excl:
-                        return "forbidden_eta"
-            v = remark44_is_mds(ctx, al, k, eta[0], eta[1])
-            return v.method if v.is_mds else None
+            return "remark44" if remark44_is_mds(ctx, al, k, eta[0], eta[1]).is_mds else None
         code = MultiTwistedCode(ctx, TwistProfile(k, t, h, eta), al)
         return "theorem31" if theorem31_is_mds(code).is_mds else None
-
-    def fast_sets_for(al):
-        if not (special and prune):
-            return None
-        _, iv_excl = forbidden_eta_sets(ctx, al, k, ctx.one)
-        return iv_excl, eta2_guard_values(ctx, al, k)
 
     if strategy == "exhaustive":
         alphas = [alpha] if alpha is not None else itertools.combinations(range(ctx.q), n)
@@ -413,9 +392,8 @@ def search_mds(
         for al in alphas:
             empty = False
             al = tuple(al)
-            fast = fast_sets_for(al)
             for eta in itertools.product(range(1, ctx.q), repeat=ell):
-                method = check(al, eta, fast)
+                method = check(al, eta)
                 if method:
                     yield SearchHit(al, eta, method)
         if empty:
@@ -427,7 +405,7 @@ def search_mds(
         for _ in range(trials):
             al = alpha if alpha is not None else tuple(sorted(rng.sample(range(ctx.q), n)))
             eta = tuple(rng.randrange(1, ctx.q) for _ in range(ell))
-            method = check(al, eta, fast_sets_for(al))
+            method = check(al, eta)
             if method:
                 yield SearchHit(al, eta, method)
     else:

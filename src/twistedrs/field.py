@@ -17,7 +17,7 @@ workloads in this package lean on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 
 FieldElement = int  # index encoding, see module docstring
@@ -72,9 +72,13 @@ def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
     return _poly_trim([c % p for c in num[:dd]] or [0])
 
 
+@cache
 def is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
     """Trial division of a monic polynomial by all monic polynomials of
-    degree <= deg/2 over GF(p)."""
+    degree <= deg/2 over GF(p).
+
+    Memoised, so a FieldSpec built from the modulus default_modulus has
+    just proven does not divide it through again."""
     deg = len(modulus) - 1
     if deg < 1:
         return False

@@ -29,6 +29,7 @@ from twistedrs.codes import (
     MultiTwistedCode,
     TwistProfile,
     encode,
+    hull_direct,
     is_mds_bruteforce,
     min_distance_bruteforce,
 )
@@ -299,8 +300,9 @@ def test_criterion_06_hull_correspondence():
     )
     views.append(LinearCodeView.of_code(_example_5_6(f81)))
     for view in views:
-        rep = hull_report(view)  # raises on any rank/direct mismatch
-        assert rep.hull_dim_direct == rep.code_dim - rep.gram_rank
+        rep = hull_report(view)
+        assert (rep.hull_dim, rep.hull_basis) == hull_direct(view)
+        assert rep.hull_dim == rep.code_dim - rep.gram_rank == rep.code_dim - rep.gram.rank()
 
 
 # -- criterion 7: power-sum identity ----------------------------------------------------------
@@ -313,9 +315,11 @@ def test_criterion_07_power_sums():
         for k in range(1, q - 1):
             if (q - 1) % k != 0:
                 continue
+            subgroup = [ctx.pow(ctx.gamma, (q - 1) // k * i) for i in range(1, k + 1)]
             for m in range(q):
-                got = power_sum_theta(ctx, k, m)  # recomputes the literal sum internally
+                got = power_sum_theta(ctx, k, m)
                 assert got == ((k % ctx.p) if m % k == 0 else 0)
+                assert got == ctx.sum(ctx.pow(x, m) for x in subgroup)
 
 
 # -- criterion 8: subfield-chain guarantee ------------------------------------------------------

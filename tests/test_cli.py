@@ -186,3 +186,33 @@ def test_cli_import_leaves_numpy_unloaded():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_bench_tracer_targets_resolve_after_cli_import():
+    """Every (module, attribute) the benchmark's tracer wraps is loaded by
+    `import twistedrs.cli` alone, so a traced CLI run can install it."""
+    src = str(Path(twistedrs.__file__).resolve().parents[1])
+    trace = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = f"""
+import importlib.util, sys
+import twistedrs.cli
+spec = importlib.util.spec_from_file_location("bench_trace", {str(trace)!r})
+bench_trace = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(bench_trace)
+missing = []
+for _, modname, attr, _ in bench_trace.TARGETS:
+    obj = sys.modules.get(modname)
+    for part in attr.split("."):
+        obj = getattr(obj, part, None)
+    if obj is None:
+        missing.append(modname + ":" + attr)
+tracer = bench_trace.Tracer(bench_trace.Recorder())
+tracer.install()
+tracer.uninstall()
+print(missing)
+"""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+    )
+    assert proc.stdout.strip() == "[]"

@@ -1,12 +1,19 @@
 """Counting loop semantics, worker determinism, and the parameter search."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 
 from twistedrs import enumeration
-from twistedrs.codes import BudgetExceededError
-from twistedrs.criteria import remark44_is_mds
+from twistedrs.codes import (
+    BudgetExceededError,
+    LinearCodeView,
+    MultiTwistedCode,
+    TwistProfile,
+    is_mds_bruteforce,
+)
+from twistedrs.criteria import theorem42_is_mds
 from twistedrs.enumeration import (
     EnumTask,
     SearchHit,
@@ -17,6 +24,7 @@ from twistedrs.enumeration import (
     search_mds,
 )
 from twistedrs.field import Field
+from twistedrs.table1 import load_golden
 
 
 def test_task_validation():
@@ -126,18 +134,22 @@ def test_translation_changes_tallies():
 # -- search ---------------------------------------------------------------------
 
 
-def test_search_pruned_equals_unpruned(f7):
-    pruned = {(hit.alpha, hit.eta) for hit in search_mds(f7, 5, 3, prune=True)}
-    plain = {(hit.alpha, hit.eta) for hit in search_mds(f7, 5, 3, prune=False)}
-    assert pruned == plain
-    assert pruned  # nonempty
-    for hit in itertools.islice(search_mds(f7, 5, 3), 20):
-        assert remark44_is_mds(f7, hit.alpha, 3, *hit.eta).is_mds
-
-
-def test_search_uses_both_methods(f7):
-    methods = {hit.method for hit in search_mds(f7, 5, 3, prune=True)}
-    assert "forbidden_eta" in methods  # most hits are fast-accepted
+def test_exhaustive_search_emits_exactly_the_mds_pairs(f7):
+    hits = list(search_mds(f7, 5, 3))
+    assert {hit.method for hit in hits} == {"remark44"}
+    expect = []
+    for alpha in itertools.combinations(range(7), 5):
+        for eta in itertools.product(range(1, 7), repeat=2):
+            code = MultiTwistedCode(f7, TwistProfile(3, (1, 2), (0, 1), eta), alpha)
+            if (
+                is_mds_bruteforce(LinearCodeView.of_code(code)).is_mds
+                and theorem42_is_mds(f7, alpha, 3, *eta).is_mds
+            ):
+                expect.append((alpha, eta))
+    assert [(hit.alpha, hit.eta) for hit in hits] == expect
+    golden = load_golden(str(Path(__file__).resolve().parent.parent / "goldens" / "table1"), 7)
+    (cell,) = [c["count"] for c in golden["cells"] if (c["n"], c["k"]) == (5, 3)]
+    assert len(hits) == cell == count_mds_double_twisted(EnumTask(7, 5, 3)).total_count == 186
 
 
 def test_search_emits_example_4_3_pairs(f16):

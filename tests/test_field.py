@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from twistedrs import field
 from twistedrs.field import Field, FieldSpec, default_modulus
 
 
@@ -81,6 +82,28 @@ def test_reducible_modulus_rejected():
         FieldSpec(2, 4, (1, 0, 0, 0, 1))  # x^4 + 1 = (x+1)^4
     with pytest.raises(ValueError, match="reducible"):
         FieldSpec(2, 2, (1, 0, 1))  # x^2 + 1 = (x+1)^2
+
+
+def test_default_modulus_proven_once(monkeypatch):
+    # no other test builds GF(3^7), so no earlier call has proven its modulus
+    p, m = 3, 7
+    calls = 0
+    rem = field._poly_rem
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return rem(*args)
+
+    monkeypatch.setattr(field, "_poly_rem", counting)
+    mod = default_modulus(p, m)
+    # the scan divides its irreducible pick by every monic polynomial of
+    # degree <= m/2, besides the divisions that reject earlier candidates
+    scan = calls
+    assert scan >= sum(p**d for d in range(1, m // 2 + 1))
+    spec = FieldSpec.of_order(p**m)
+    assert spec.modulus == mod
+    assert calls == scan  # building the spec divides by nothing more
 
 
 def test_q_cap_and_bad_spec():

@@ -1,14 +1,18 @@
 """Hull dimensions, power sums, and the two constructive families."""
 
 import random
+from functools import partial
 
 import pytest
 
-from twistedrs.codes import LinearCodeView, MultiTwistedCode, TwistProfile, generator_matrix
+from twistedrs import codes, criteria, enumeration, hull
+from twistedrs.codes import LinearCodeView, MultiTwistedCode, TwistProfile, generator_matrix, hull_direct
 from twistedrs.criteria import theorem31_is_mds
 from twistedrs.codes import min_distance_bruteforce
+from twistedrs.enumeration import search_mds
 from twistedrs.field import Field
 from twistedrs.hull import (
+    _blocks_generator,
     construct_even,
     construct_odd,
     gram_decomposition,
@@ -41,10 +45,11 @@ def test_theta_char2_reduction(f16):
 
 
 def test_theta_closed_form_vs_literal_f81(f81):
-    # the function recomputes the literal sum internally and raises on mismatch
+    subgroup = [f81.pow(f81.gamma, 16 * i) for i in range(1, 6)]
     for m in range(81):
         expect = (5 % 3) if m % 5 == 0 else 0
         assert power_sum_theta(f81, 5, m) == expect
+        assert f81.sum(f81.pow(x, m) for x in subgroup) == expect
 
 
 def test_theta_bad_subgroup_order(f16):
@@ -103,8 +108,10 @@ def test_hull_correspondence_random_codes():
                 g = Matrix(ctx, [[rng.randrange(q) for _ in range(n)] for _ in range(k)])
                 if g.rank() == k:
                     break
-            rep = hull_report(LinearCodeView(g))  # cross-asserts internally
-            assert rep.hull_dim_rank == rep.hull_dim_direct
+            view = LinearCodeView(g)
+            rep = hull_report(view)
+            assert (rep.hull_dim, rep.hull_basis) == hull_direct(view)
+            assert rep.gram_rank == rep.gram.rank() == k - rep.hull_dim
             assert 0 <= rep.hull_dim <= min(k, n - k)
 
 
@@ -177,6 +184,7 @@ def test_construct_even_random_draws_have_hull(f16):
         ctx, k = rng.choice([(f16, 3), (f16, 5), (f64, 3), (f64, 7), (f64, 9)])
         t, h, eta = _random_even_params(ctx, rng, k)
         code = construct_even(ctx, k, t, h, eta)
+        assert generator_matrix(code) == _blocks_generator(ctx, code.origin, k)
         gp = gram_decomposition(code)
         rep = hull_report(LinearCodeView.of_code(code))
         assert rep.hull_dim >= 1
@@ -293,6 +301,7 @@ def test_construct_odd_random_draws_have_hull():
         ctx, k = rng.choice([(f9, 4), (f25, 4), (f25, 6), (f81, 5), (f81, 8)])
         t, h, eta = _random_odd_params(ctx, rng, k)
         code = construct_odd(ctx, k, t, h, eta)
+        assert generator_matrix(code) == _blocks_generator(ctx, code.origin, k - 1)
         gp = gram_decomposition(code)
         rep = hull_report(LinearCodeView.of_code(code))
         assert rep.hull_dim >= 1
@@ -310,8 +319,9 @@ def test_gram_parts_sum_on_random_constructions(f16):
             code = construct_even(f16, 5, *_random_even_params(f16, rng, 5))
         else:
             code = construct_odd(f9, 4, *_random_odd_params(f9, rng, 4))
-        gp = gram_decomposition(code)  # internally asserts parts sum to G G^T
+        gp = gram_decomposition(code)
         g = generator_matrix(code)
+        assert g == _blocks_generator(code.ctx, code.origin, code.dim)
         assert gp.total == g.mat_mul(g.transpose())
 
 
@@ -336,3 +346,42 @@ def test_mds_and_hull_combination_even(f16):
             hits += 1
             assert min_distance_bruteforce(view) == view.n - view.k + 1
     assert hits > 0  # the combination is nonempty in this range
+
+
+# -- the oracles stay in the tests ---------------------------------------------------------
+
+
+def test_calls_do_not_run_their_oracles(f7, f16, f81, monkeypatch):
+    """hull_report, the constructors, gram_decomposition, power_sum_theta and
+    search_mds give the same answers with every oracle made to raise."""
+    even_args = (f16, 3, (2, 3), (1, 2), (f16.parse("a^3"), f16.parse("a^3 + a^2")))
+    odd_args = (f81, 5, (1, 2), (2, 3), (f81.parse("a^3 + a^2"), f81.parse("a")))
+    built = [construct_even(*even_args), construct_odd(*odd_args)]
+    systematic = Matrix(f7, [[1, 0, 0, 1, 1, 1], [0, 1, 0, 1, 2, 3], [0, 0, 1, 1, 4, 2]])
+    views = [LinearCodeView(systematic)] + [LinearCodeView.of_code(c) for c in built]
+    reports = [hull_report(v) for v in views]
+    parts = [gram_decomposition(c) for c in built]
+    thetas = [power_sum_theta(f81, 5, m) for m in range(12)]
+    searches = [
+        partial(search_mds, f7, 5, 3, alpha=(0, 1, 2, 3, 5)),
+        partial(search_mds, f7, 5, 3, strategy="random", seed=5, trials=100),
+        partial(search_mds, f16, 6, 3, t=(2, 3), h=(1, 2), strategy="random", seed=1, trials=30),
+    ]
+    hits = [list(search()) for search in searches]
+    assert all(hits)
+
+    def oracle(*args, **kw):
+        raise AssertionError("a library call ran its oracle")
+
+    for mod in (codes, criteria, enumeration, hull):
+        for name in ("hull_direct", "_blocks_generator", "forbidden_eta_sets", "generator_matrix"):
+            monkeypatch.setattr(mod, name, oracle, raising=False)
+    assert [hull_report(v) for v in views] == reports
+    again = [construct_even(*even_args), construct_odd(*odd_args)]
+    assert again == built and [c.origin for c in again] == [c.origin for c in built]
+    assert [gram_decomposition(c) for c in again] == parts
+    assert [list(search()) for search in searches] == hits
+    with monkeypatch.context() as mp:
+        mp.setattr(Field, "sum", oracle)
+        mp.setattr(Field, "pow", oracle)
+        assert [power_sum_theta(f81, 5, m) for m in range(12)] == thetas
