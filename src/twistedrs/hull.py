@@ -1,8 +1,9 @@
 """Hull dimension via Gram rank, and the constructive small-hull families.
 
 For a full-rank generator G the hull C intersect C-dual is {xG : x G G^T
-= 0}, so hull_report reads both its dimension k - rank(G G^T) and its basis
-off one kernel computation of the k x k Gram matrix.  The direct row-space
+= 0}, so hull_report reads its dimension k - rank(G G^T) off one kernel
+computation of the k x k Gram matrix; the kernel images xG, brought to
+reduced row echelon form, are its basis.  The direct row-space
 intersection (codes.hull_direct) is the oracle the tests compare against.
 
 The constructors place evaluation points on an order-k multiplicative
@@ -72,9 +73,13 @@ class HullReport:
 
 
 def hull_report(view: LinearCodeView) -> HullReport:
-    """Gram matrix, its rank and the hull from one elimination of G G^T: the kernel
-    rows x of the symmetric G G^T give the hull vectors xG, and G has full
-    rank, so they are as many as the hull's dimension."""
+    """Gram matrix, its rank and the hull from one kernel of G G^T.
+
+    The kernel rows x of the symmetric G G^T give the hull vectors xG, and
+    G has full rank, so they are as many as the hull's dimension.  A second
+    elimination brings the h x n matrix of the xG to reduced row echelon
+    form, so the basis is the one codes.hull_direct returns and the CLI's
+    JSON does not depend on which kernel basis came out."""
     gram = view.g.mat_mul(view.g.transpose())
     kern = gram.null_space()
     basis = Matrix(view.ctx, [view.g.left_mul_vector(x) for x in kern.data]).row_space_basis()

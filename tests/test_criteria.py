@@ -284,18 +284,23 @@ def test_example_4_3_avoids_every_exclusion(f16):
 
 
 def test_pairs_outside_exclusions_pass_remark44(f7):
-    alpha = (1, 2, 3, 4, 5)
+    # every 5-point alpha over GF(7), those containing 0 included
     k = 3
-    # at these eta2 the rational eta1 exclusion is undefined for some subset
-    guards = {f7.div(f7.sign(k), f7.prod(vals)) for vals in itertools.combinations(alpha, k)}
-    for eta2 in range(1, 7):
-        eta1_excl, eta2_excl = forbidden_eta_sets(f7, alpha, k, eta2)
-        if eta2 in eta2_excl or eta2 in guards:
-            continue
-        for eta1 in range(1, 7):
-            if eta1 in eta1_excl:
+    accepted = 0
+    for alpha in itertools.combinations(range(7), 5):
+        # at these eta2 the rational eta1 exclusion is undefined for some subset
+        nonzero = [x for x in alpha if x]
+        guards = {f7.div(f7.sign(k), f7.prod(vals)) for vals in itertools.combinations(nonzero, k)}
+        for eta2 in range(1, 7):
+            eta1_excl, eta2_excl = forbidden_eta_sets(f7, alpha, k, eta2)
+            if eta2 in eta2_excl or eta2 in guards:
                 continue
-            assert remark44_is_mds(f7, alpha, k, eta1, eta2).is_mds
+            for eta1 in range(1, 7):
+                if eta1 in eta1_excl:
+                    continue
+                accepted += 1
+                assert remark44_is_mds(f7, alpha, k, eta1, eta2).is_mds
+    assert accepted
 
 
 def test_remark44_example_4_3(f16):

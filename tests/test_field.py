@@ -85,8 +85,8 @@ def test_reducible_modulus_rejected():
 
 
 def test_default_modulus_proven_once(monkeypatch):
-    # no other test builds GF(3^7), so no earlier call has proven its modulus
     p, m = 3, 7
+    field.is_irreducible.cache_clear()
     calls = 0
     rem = field._poly_rem
 

@@ -184,9 +184,13 @@ def test_construct_even_random_draws_have_hull(f16):
         ctx, k = rng.choice([(f16, 3), (f16, 5), (f64, 3), (f64, 7), (f64, 9)])
         t, h, eta = _random_even_params(ctx, rng, k)
         code = construct_even(ctx, k, t, h, eta)
-        assert generator_matrix(code) == _blocks_generator(ctx, code.origin, k)
+        g = generator_matrix(code)
+        assert g == _blocks_generator(ctx, code.origin, k)
         gp = gram_decomposition(code)
-        rep = hull_report(LinearCodeView.of_code(code))
+        assert gp.total == g.mat_mul(g.transpose())
+        view = LinearCodeView.of_code(code)
+        rep = hull_report(view)
+        assert (rep.hull_dim, rep.hull_basis) == hull_direct(view)
         assert rep.hull_dim >= 1
         assert rep.gram_rank <= k - 1
         assert all(x == 0 for x in gp.bbt_sum.data[0])  # h_1 > 0
@@ -301,9 +305,13 @@ def test_construct_odd_random_draws_have_hull():
         ctx, k = rng.choice([(f9, 4), (f25, 4), (f25, 6), (f81, 5), (f81, 8)])
         t, h, eta = _random_odd_params(ctx, rng, k)
         code = construct_odd(ctx, k, t, h, eta)
-        assert generator_matrix(code) == _blocks_generator(ctx, code.origin, k - 1)
+        g = generator_matrix(code)
+        assert g == _blocks_generator(ctx, code.origin, k - 1)
         gp = gram_decomposition(code)
-        rep = hull_report(LinearCodeView.of_code(code))
+        assert gp.total == g.mat_mul(g.transpose())
+        view = LinearCodeView.of_code(code)
+        rep = hull_report(view)
+        assert (rep.hull_dim, rep.hull_basis) == hull_direct(view)
         assert rep.hull_dim >= 1
         assert rep.gram_rank <= k - 2
         assert all(x == 0 for x in gp.cross.data[1])  # t_ell < k
