@@ -79,7 +79,7 @@ def _add_code_flags(p):
     p.add_argument("--eta", help="comma-separated twist coefficients")
 
 
-def _verdict_doc(ctx, verdict, seconds):
+def _verdict_doc(verdict, seconds):
     return {
         "method": verdict.method,
         "is_mds": verdict.is_mds,
@@ -111,7 +111,7 @@ def _cmd_check_mds(args) -> dict:
             v = fn(ctx, code.alpha, pr.k, eta1, eta2)
         else:
             raise ValueError(f"unknown method {method!r}")
-        verdicts.append(_verdict_doc(ctx, v, time.perf_counter() - start))
+        verdicts.append(_verdict_doc(v, time.perf_counter() - start))
     return {
         "n": code.n,
         "k": code.dim,
@@ -141,7 +141,9 @@ def _cmd_hull(args) -> dict:
     }
 
 
-def _construct_doc(code) -> dict:
+def _cmd_construct(args) -> dict:
+    ctx = _field_from_args(args)
+    code = args.construct(ctx, args.k, _ints(args.t), _ints(args.h), ctx.parse_vector(args.eta.split(",")))
     view = LinearCodeView.of_code(code)
     rep = hull_report(view)
     doc = profile_to_doc(code)
@@ -154,18 +156,6 @@ def _construct_doc(code) -> dict:
         }
     )
     return doc
-
-
-def _cmd_construct_even(args) -> dict:
-    ctx = _field_from_args(args)
-    code = construct_even(ctx, args.k, _ints(args.t), _ints(args.h), ctx.parse_vector(args.eta.split(",")))
-    return _construct_doc(code)
-
-
-def _cmd_construct_odd(args) -> dict:
-    ctx = _field_from_args(args)
-    code = construct_odd(ctx, args.k, _ints(args.t), _ints(args.h), ctx.parse_vector(args.eta.split(",")))
-    return _construct_doc(code)
 
 
 def _cmd_subfield_construct(args) -> dict:
@@ -182,12 +172,12 @@ def _cmd_subfield_construct(args) -> dict:
     doc = profile_to_doc(code)
     start = time.perf_counter()
     v = theorem31_is_mds(code)
-    doc.update({"n": code.n, "dim": code.dim, "verdict": _verdict_doc(ctx, v, time.perf_counter() - start)})
+    doc.update({"n": code.n, "dim": code.dim, "verdict": _verdict_doc(v, time.perf_counter() - start)})
     return doc
 
 
 def _cmd_enumerate(args) -> dict:
-    task = EnumTask(args.q, args.n, args.k, args.criterion, args.workers, args.seed)
+    task = EnumTask(args.q, args.n, args.k, args.criterion, args.workers)
     res = count_mds_double_twisted(task, histogram=args.histogram)
     doc = {
         "q": args.q,
@@ -207,6 +197,8 @@ def _cmd_enumerate(args) -> dict:
 
 
 def _cmd_search(args) -> dict:
+    if args.limit < 0:
+        raise ValueError("--limit must be >= 0")
     ctx = _field_from_args(args)
     alpha = ctx.parse_vector(args.alpha.split(",")) if args.alpha else None
     hits = []
@@ -261,14 +253,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_code_flags(p)
     p.set_defaults(fn=_cmd_hull)
 
-    for name, fn in (("construct-even", _cmd_construct_even), ("construct-odd", _cmd_construct_odd)):
+    for name, construct in (("construct-even", construct_even), ("construct-odd", construct_odd)):
         p = sub.add_parser(name, help=f"build the {name.split('-')[1]}-q small-hull family")
         _add_field_flags(p)
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--t", required=True)
         p.add_argument("--h", required=True)
         p.add_argument("--eta", required=True)
-        p.set_defaults(fn=fn)
+        p.set_defaults(fn=_cmd_construct, construct=construct)
 
     p = sub.add_parser("subfield-construct", help="guaranteed-MDS subfield-chain code")
     _add_field_flags(p)
@@ -286,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--criterion", default="remark44", choices=["remark44", "bruteforce"])
     p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--histogram", action="store_true", help="include per-evaluation-set counts")
     p.set_defaults(fn=_cmd_enumerate)
 

@@ -30,31 +30,24 @@ from .linalg import Matrix
 DOUBLE_TWIST = ((1, 2), (0, 1))  # the (t, h) layout with closed-form criteria
 
 
-def sigma_coeffs(ctx: Field, alphas) -> list[FieldElement]:
-    """Ascending coefficients of the monic product of (x - a) over alphas.
-
-    Length len(alphas) + 1; callers index out-of-range sigmas as zero.
-    """
-    coeffs = [ctx.one]
-    for a in alphas:
-        na = ctx.neg(a)
-        nxt = [0] * (len(coeffs) + 1)
-        for i, c in enumerate(coeffs):
-            nxt[i + 1] = ctx.add(nxt[i + 1], c)
-            nxt[i] = ctx.add(nxt[i], ctx.mul(c, na))
-        coeffs = nxt
-    return coeffs
-
-
 def elem_sym(ctx: Field, values) -> list[FieldElement]:
-    """All elementary symmetric polynomials e_0..e_len of the values;
-    e[j] == (-1)^j * sigma[len-j] for the same subset."""
+    """All elementary symmetric polynomials e_0..e_len of the values."""
     e = [ctx.one]
     for v in values:
         e.append(0)
         for j in range(len(e) - 1, 0, -1):
             e[j] = ctx.add(e[j], ctx.mul(v, e[j - 1]))
     return e
+
+
+def sigma_coeffs(ctx: Field, alphas) -> list[FieldElement]:
+    """Ascending coefficients of the monic product of (x - a) over alphas:
+    sigma_i = (-1)^(n-i) e_(n-i) for n = len(alphas).
+
+    Length n + 1; callers index out-of-range sigmas as zero.
+    """
+    e = elem_sym(ctx, alphas)
+    return [e[j] if j % 2 == 0 else ctx.neg(e[j]) for j in range(len(e) - 1, -1, -1)]
 
 
 def _sigma_at(sigma: list[FieldElement], i: int) -> FieldElement:
@@ -120,26 +113,15 @@ def appendix_a_determinants(code: MultiTwistedCode) -> list[FieldElement]:
     """The per-subset 2x2 determinants for the double-twist layout with
     k = 3, n = 5, in lexicographic subset order.
 
-    Matrix layout is diag(eta2^-1, eta1^-1) * [[1, 0], [sigma2, 1]] +
-    [[-sigma0, -sigma1], [0, -sigma0]]; the code is MDS iff none vanish.
+    The published matrix diag(eta2^-1, eta1^-1) * [[1, 0], [sigma2, 1]] +
+    [[-sigma0, -sigma1], [0, -sigma0]] is the subset-system matrix with its
+    rows and its columns both reversed, so the determinants are those of
+    mds_system_matrix; the code is MDS iff none vanish.
     """
-    ctx, pr = code.ctx, code.profile
+    pr = code.profile
     if (pr.t, pr.h) != DOUBLE_TWIST or pr.k != 3 or code.n != 5:
         raise ValueError("expects the double-twist layout with k = 3, n = 5")
-    eta1, eta2 = pr.eta
-    d = [ctx.inv(eta2), ctx.inv(eta1)]
-    dets = []
-    for subset in itertools.combinations(range(5), 3):
-        s = sigma_coeffs(ctx, [code.alpha[i] for i in subset])
-        m = Matrix(
-            ctx,
-            [
-                [ctx.sub(d[0], s[0]), ctx.neg(s[1])],
-                [ctx.mul(d[1], s[2]), ctx.sub(d[1], s[0])],
-            ],
-        )
-        dets.append(m.det())
-    return dets
+    return [mds_system_matrix(code, s).det() for s in itertools.combinations(range(5), 3)]
 
 
 def subfield_chain_construct(ctx: Field, chain, alpha, k, t, h, eta) -> MultiTwistedCode:
@@ -173,6 +155,29 @@ def _nonzero_positions(alpha) -> list[int]:
     return [i for i, x in enumerate(alpha) if x != 0]
 
 
+def _eta1_exclusions(ctx: Field, e: list[FieldElement], k: int, eta2: FieldElement):
+    """The eta1 values a k-subset of nonzero points, with elementary
+    symmetric polynomials e, excludes at eta2: the product condition
+    base = (-1)^k / e_k, and the rational condition
+    (e_{k-1} e_1 + w) / ((-1)^k e_k w) with w = (-1)^k / eta2 - e_k, which
+    is None where w = 0, i.e. at eta2 = base."""
+    sign_k = ctx.sign(k)
+    base = ctx.mul(sign_k, ctx.inv(e[k]))
+    w = ctx.sub(ctx.div(sign_k, eta2), e[k])
+    if w == 0:
+        return base, None
+    return base, ctx.div(ctx.add(ctx.mul(e[k - 1], e[1]), w), ctx.mul(sign_k, ctx.mul(e[k], w)))
+
+
+def _eta2_exclusion(ctx: Field, vals) -> FieldElement | None:
+    """(-1)^(k-1) / (e_1 e_{k-1}) for a (k-1)-subset of nonzero values, or
+    None when its sum e_1 is zero."""
+    e = elem_sym(ctx, vals)
+    if e[1] == 0:
+        return None
+    return ctx.mul(ctx.sign(len(vals)), ctx.inv(ctx.mul(e[1], e[-1])))
+
+
 def forbidden_eta_sets(ctx: Field, alpha, k: int, eta2: FieldElement):
     """Exclusion values for the double-twist layout.
 
@@ -186,26 +191,12 @@ def forbidden_eta_sets(ctx: Field, alpha, k: int, eta2: FieldElement):
     """
     alpha = tuple(alpha)
     nz = [alpha[i] for i in _nonzero_positions(alpha)]
-    sign_k = ctx.sign(k)
-    eta1_excl = set()
+    eta1_excl, eta2_excl = set(), set()
     for vals in itertools.combinations(nz, k):
-        e = elem_sym(ctx, vals)
-        prod = e[k]
-        base = ctx.mul(sign_k, ctx.inv(prod))
-        eta1_excl.add(base)
-        if eta2 != base:
-            w = ctx.sub(ctx.div(sign_k, eta2), prod)
-            num = ctx.add(ctx.mul(e[k - 1], e[1]), w)
-            den = ctx.mul(sign_k, ctx.mul(prod, w))
-            eta1_excl.add(ctx.div(num, den))
-    eta2_excl = set()
+        eta1_excl.update(_eta1_exclusions(ctx, elem_sym(ctx, vals), k, eta2))
     if k >= 2:
-        for vals in itertools.combinations(nz, k - 1):
-            e = elem_sym(ctx, vals)
-            s, prod = e[1], e[k - 1]
-            if s != 0:
-                eta2_excl.add(ctx.mul(ctx.sign(k - 1), ctx.inv(ctx.mul(s, prod))))
-    return frozenset(eta1_excl), frozenset(eta2_excl)
+        eta2_excl.update(_eta2_exclusion(ctx, vals) for vals in itertools.combinations(nz, k - 1))
+    return frozenset(eta1_excl - {None}), frozenset(eta2_excl - {None})
 
 
 def remark44_expression(ctx: Field, values, k: int, eta1, eta2) -> FieldElement:
@@ -262,29 +253,21 @@ def theorem42_is_mds(ctx: Field, alpha, k: int, eta1, eta2) -> MdsVerdict:
         raise ValueError("need 2 <= k < n")
     nz_idx = _nonzero_positions(alpha)
     has_zero = len(nz_idx) < len(alpha)
-    sign_k = ctx.sign(k)
     for subset in itertools.combinations(nz_idx, k):
         e = elem_sym(ctx, [alpha[i] for i in subset])
-        prod = e[k]
-        base = ctx.mul(sign_k, ctx.inv(prod))
+        base, rational = _eta1_exclusions(ctx, e, k, eta2)
         if e[k - 1] == 0 and eta1 == base:
             return MdsVerdict(False, "theorem42", subset)
-        if eta2 != base:
-            w = ctx.sub(ctx.div(sign_k, eta2), prod)
-            num = ctx.add(ctx.mul(e[k - 1], e[1]), w)
-            den = ctx.mul(sign_k, ctx.mul(prod, w))
-            if eta1 == ctx.div(num, den):
+        if rational is not None:
+            if eta1 == rational:
                 return MdsVerdict(False, "theorem42", subset)
-        else:
+        else:  # eta2 = base
             if e[k - 1] == 0 and e[1] != 0:
                 return MdsVerdict(False, "theorem42", subset)
             if not has_zero and e[1] == 0:
                 return MdsVerdict(False, "theorem42", subset)
     if has_zero:
-        sign_km1 = ctx.sign(k - 1)
         for subset in itertools.combinations(nz_idx, k - 1):
-            e = elem_sym(ctx, [alpha[i] for i in subset])
-            s, prod = e[1], e[k - 1]
-            if s != 0 and eta2 == ctx.mul(sign_km1, ctx.inv(ctx.mul(s, prod))):
+            if eta2 == _eta2_exclusion(ctx, [alpha[i] for i in subset]):
                 return MdsVerdict(False, "theorem42", subset)
     return MdsVerdict(True, "theorem42")

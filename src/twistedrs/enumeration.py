@@ -30,7 +30,7 @@ import itertools
 import random
 import time
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from math import comb
 from multiprocessing import get_all_start_methods, get_context
 from typing import Iterator, Optional
@@ -59,7 +59,6 @@ class EnumTask:
     k: int
     criterion: str = "remark44"
     workers: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         _kernel(self.q)  # q must be a prime power <= 2^16
@@ -108,28 +107,15 @@ class _FieldKernel:
         return Field(self.spec)
 
     @cached_property
-    def _exp_log(self) -> tuple[np.ndarray, np.ndarray]:
-        """exp over two periods, and log of the nonzero elements 1..q-1."""
-        import numpy as np
-        ctx = self.field
-        return np.array(ctx._exp, np.int64), np.array(ctx._log[1:], np.int64)
-
-    @cached_property
     def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Dense add, mul, neg and inv arrays indexed by element."""
+        """Dense add, mul, neg and inv arrays indexed by element, read off
+        the Field; inv[0] is 0."""
         import numpy as np
-        q, p, dt = self.q, self.spec.p, self.dtype
-        add = np.zeros((q, q), dt)
-        neg = np.zeros(q, dt)
-        for j in range(self.spec.m):  # digit-wise mod p
-            digit = (np.arange(q, dtype=dt) // p**j) % p
-            add += (digit[:, None] + digit[None, :]) % p * p**j
-            neg += (-digit) % p * p**j
-        exp, log = self._exp_log
-        mul = np.zeros((q, q), dt)
-        mul[1:, 1:] = exp[log[:, None] + log[None, :]]
-        inv = np.zeros(q, dt)
-        inv[1:] = exp[(q - 1 - log) % (q - 1)]
+        ctx, elems, dt = self.field, range(self.q), self.dtype
+        add = np.array([[ctx.add(x, y) for y in elems] for x in elems], dt)
+        mul = np.array([[ctx.mul(x, y) for y in elems] for x in elems], dt)
+        neg = np.array([ctx.neg(x) for x in elems], dt)
+        inv = np.array([0] + [ctx.inv(x) for x in elems[1:]], dt)
         return add, mul, neg, inv
 
     def orbits(self, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -144,7 +130,6 @@ class _FieldKernel:
         minimum over the group, one element at a time."""
         import numpy as np
         q, p, m = self.q, self.spec.p, self.spec.m
-        e = q - 1
         n = sets.shape[1]
         total = comb(q, n)
         # binom[a, i] = C(a, i + 1); the entries a rank can use are below C(q, n)
@@ -152,25 +137,24 @@ class _FieldKernel:
             [[min(comb(a, i + 1), total) for i in range(n)] for a in range(q)], np.int64
         )
         cols = np.arange(n)
-        exp, log = self._exp_log
+        ctx = self.field
 
-        def ranks(nonzero_image: np.ndarray) -> np.ndarray:
-            perm = np.zeros(q, self.dtype)  # 0 is fixed by every map
-            perm[1:] = nonzero_image
-            img = perm[sets]
+        def ranks(image) -> np.ndarray:
+            # image[x] is the image of element x; every map fixes 0
+            img = np.array(image, self.dtype)[sets]
             img.sort(axis=1)
             return binom[img, cols].sum(axis=1)
 
-        rank = ranks(exp[log])
+        rank = ranks(range(q))
         scale = np.empty(total, np.int64)
-        scale[rank] = ranks(exp[log + 1])
+        scale[rank] = ranks([ctx.mul(ctx.gamma, x) for x in range(q)])
         frob = np.empty(total, np.int64)
-        frob[rank] = ranks(exp[(log * p) % e])
+        frob[rank] = ranks([ctx.pow(x, p) for x in range(q)])
         base = np.arange(total)
         least = base.copy()
         for _ in range(m):
             cur = base
-            for _ in range(e - 1):
+            for _ in range(q - 2):
                 cur = scale[cur]
                 np.minimum(least, cur, out=least)
             base = frob[base]
@@ -179,25 +163,17 @@ class _FieldKernel:
         return first, inverse
 
 
-_KERNELS: dict[int, _FieldKernel] = {}
-_SUBSET_CACHE: dict[tuple[int, int], np.ndarray] = {}
-
-
+@cache
 def _kernel(q: int) -> _FieldKernel:
     """The cached kernel context of GF(q); raises unless q is a prime
     power <= 2^16."""
-    kern = _KERNELS.get(q)
-    if kern is None:
-        kern = _KERNELS[q] = _FieldKernel(q)
-    return kern
+    return _FieldKernel(q)
 
 
+@cache
 def _subset_indices(n: int, k: int) -> np.ndarray:
     import numpy as np
-    key = (n, k)
-    if key not in _SUBSET_CACHE:
-        _SUBSET_CACHE[key] = np.array(list(itertools.combinations(range(n), k)), np.intp)
-    return _SUBSET_CACHE[key]
+    return np.array(list(itertools.combinations(range(n), k)), np.intp)
 
 
 def _all_sets(kern: _FieldKernel, n: int) -> np.ndarray:
@@ -307,15 +283,10 @@ def count_mds_double_twisted(
         work = sets[first]
     else:
         work, inverse = sets, None
-    order = np.arange(len(work))
-    if task.seed:
-        # load-balancing shuffle of the worker partition; the tallies are
-        # put back in place, so any seed gives the same result
-        order = np.array(random.Random(task.seed).sample(range(len(work)), len(work)))
     workers = min(task.workers, len(work))
     bounds = [round(i * len(work) / workers) for i in range(workers + 1)]
     jobs = [
-        (task.q, task.n, task.k, task.criterion, work[order[bounds[i] : bounds[i + 1]]])
+        (task.q, task.n, task.k, task.criterion, work[bounds[i] : bounds[i + 1]])
         for i in range(workers)
     ]
     if workers == 1:
@@ -323,8 +294,7 @@ def count_mds_double_twisted(
     else:
         with get_context(_START_METHOD).Pool(workers) as pool:
             parts = pool.map(_count_chunk, jobs)
-    tallies = np.empty(len(work), np.int64)
-    tallies[order] = np.concatenate(parts)
+    tallies = np.concatenate(parts)
     if inverse is not None:
         tallies = tallies[inverse]
     total = int(tallies.sum())

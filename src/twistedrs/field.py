@@ -347,9 +347,6 @@ class Field:
         """(-1)^k as a field element."""
         return self.one if k % 2 == 0 else self.neg(self.one)
 
-    def elements(self) -> range:
-        return range(self.q)
-
     # -- subfields -----------------------------------------------------------
 
     def is_in_subfield(self, x: FieldElement, q0: int) -> bool:
@@ -363,7 +360,7 @@ class Field:
         return self.pow(x, q0) == x
 
     def subfield_elements(self, q0: int) -> list[FieldElement]:
-        return [x for x in self.elements() if self.is_in_subfield(x, q0)]
+        return [x for x in range(self.q) if self.is_in_subfield(x, q0)]
 
     # -- text form -----------------------------------------------------------
 

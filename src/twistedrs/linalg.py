@@ -29,13 +29,6 @@ class Matrix:
     def identity(cls, ctx: Field, n: int) -> "Matrix":
         return cls(ctx, [[ctx.one if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def zeros(cls, ctx: Field, rows: int, cols: int) -> "Matrix":
-        return cls(ctx, [[0] * cols for _ in range(rows)])
-
-    def copy(self) -> "Matrix":
-        return Matrix(self.ctx, self.data)
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)

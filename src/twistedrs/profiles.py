@@ -26,14 +26,18 @@ def field_from_doc(doc: dict) -> Field:
 
 
 def code_from_profile(doc: dict) -> MultiTwistedCode:
-    ctx = field_from_doc(doc)
-    profile = TwistProfile(
-        int(doc["k"]),
-        tuple(int(x) for x in doc.get("t", ())),
-        tuple(int(x) for x in doc.get("h", ())),
-        ctx.parse_vector(doc.get("eta", ())),
-    )
-    return MultiTwistedCode(ctx, profile, ctx.parse_vector(doc["alpha"]))
+    """The code a profile document describes; a document whose values have
+    the wrong JSON types raises ValueError("malformed profile: ...")."""
+    try:
+        ctx = field_from_doc(doc)
+        k = int(doc["k"])
+        t = tuple(int(x) for x in doc.get("t", ()))
+        h = tuple(int(x) for x in doc.get("h", ()))
+        eta = ctx.parse_vector(doc.get("eta", ()))
+        alpha = ctx.parse_vector(doc["alpha"])
+    except TypeError as exc:
+        raise ValueError(f"malformed profile: {exc}") from exc
+    return MultiTwistedCode(ctx, TwistProfile(k, t, h, eta), alpha)
 
 
 def profile_to_doc(code: MultiTwistedCode) -> dict:

@@ -1,0 +1,23 @@
+"""The benchmark's in-process workloads run one pass and pass their own
+output checks, so a change to the API they call shows here first."""
+
+import importlib
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+@pytest.mark.parametrize("name", ["table1-cells", "code-queries"])
+def test_in_process_workload_pass_checks_clean(name, tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    bench_workloads = importlib.import_module("bench_workloads")
+    wl = bench_workloads.WORKLOADS[name](str(ROOT), str(tmp_path))
+    wl.import_package()
+    wl.build_contexts()
+    wl.build(1)
+    assert wl.n_ops > 0
+    for i in range(wl.n_ops):
+        summary, _ = wl.summarize(i, wl.run_op(i, False))
+        assert wl.check(i, summary) == [], (name, i)

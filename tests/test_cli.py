@@ -153,6 +153,29 @@ def test_domain_error_exit_code_1(capsys):
     assert "n >= k + 2" in doc["error"]["message"]
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        dict(EX32_PROFILE, alpha=5),
+        [1, 2],
+        dict(EX32_PROFILE, k=None),
+    ],
+)
+def test_malformed_profile_exit_code_1(tmp_path, capsys, doc):
+    path = write_profile(tmp_path, doc)
+    code, out = run(capsys, "hull", "--profile", path)
+    assert code == 1
+    assert out["error"]["type"] == "ValueError"
+    assert out["error"]["message"].startswith("malformed profile: ")
+
+
+def test_search_negative_limit_exit_code_1(capsys):
+    code, doc = run(capsys, "search", "--q", "7", "--n", "5", "--k", "3", "--limit", "-1")
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+    assert "--limit" in doc["error"]["message"]
+
+
 def test_usage_error_exit_code_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(["enumerate", "--q", "5", "--n", "4"])  # missing --k

@@ -216,6 +216,25 @@ def test_appendix_determinants_match_published_multisets(f16):
         assert Counter(f16.format(d) for d in dets) == Counter(expected)
 
 
+def test_appendix_determinants_match_literal_formula():
+    # the published matrix, built literally from the expansion oracle's sigmas
+    rng = random.Random(97)
+    for q in (7, 8, 16, 81):
+        ctx = Field.of_order(q)
+        for _ in range(40):
+            alpha = tuple(rng.sample(range(q), 5))
+            eta1, eta2 = rng.randrange(1, q), rng.randrange(1, q)
+            code = MultiTwistedCode(ctx, TwistProfile(3, (1, 2), (0, 1), (eta1, eta2)), alpha)
+            expect = []
+            for subset in itertools.combinations(range(5), 3):
+                s = oracle_expand(ctx, [alpha[i] for i in subset])
+                d = Matrix(ctx, [[ctx.inv(eta2), 0], [0, ctx.inv(eta1)]])
+                a = Matrix(ctx, [[ctx.one, 0], [s[2], ctx.one]])
+                b = Matrix(ctx, [[ctx.neg(s[0]), ctx.neg(s[1])], [0, ctx.neg(s[0])]])
+                expect.append(d.mat_mul(a).add(b).det())
+            assert appendix_a_determinants(code) == expect
+
+
 def test_appendix_determinants_wrong_shape(f16):
     code = MultiTwistedCode(f16, TwistProfile(3, (1, 2), (0, 1), (1, 1)), tuple(range(6)))
     with pytest.raises(ValueError, match="n = 5"):
