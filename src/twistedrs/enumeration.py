@@ -8,17 +8,19 @@ are invariant under the worker split because the per-set tallies are
 summed, and invariant under criterion choice (closed form vs constructing
 each code and brute-forcing it) for every in-budget task.
 
-The closed-form path is vectorized with numpy lookup tables: for a fixed
-evaluation set the bad pairs of one k-subset form a curve eta2 =
-f(eta1), so each subset marks at most q-1 grid cells instead of testing
+The closed-form path is vectorized with numpy lookup tables.  The
+expression of one k-subset is 1 - u*eta1 + v*eta2 + u^2*eta1*eta2, so
+its bad eta pairs depend only on its class (u, v) in GF(q)^2.  The bad
+eta2 of every class and eta1 are tabulated once per field; a set then
+marks the table rows of the classes its subsets hit, instead of testing
 all (q-1)^2 pairs.
 
 It also runs once per orbit of evaluation sets under the group of maps
 x -> c * x^(p^j) (c nonzero, 0 <= j < m).  Such a map scales the
-coefficients (u, v, w) of every k-subset by (c^k, c^k, c^(2k)) (after
-applying the field automorphism), so it maps the bad eta pairs of a set
-one-to-one onto those of its image and every set in an orbit has the
-same tally.  Translations x -> x + b are not symmetries of the count.
+coefficients (u, v) of every k-subset by (c^k, c^k) (after applying the
+field automorphism), so it maps the bad eta pairs of a set one-to-one
+onto those of its image and every set in an orbit has the same tally.
+Translations x -> x + b are not symmetries of the count.
 
 numpy is imported inside the functions that use it, so importing this
 module, as the package and the CLI do, does not load numpy.
@@ -91,9 +93,9 @@ class EnumResult:
 
 class _FieldKernel:
     """What counting needs for one field order, built once per process:
-    the default field, its dense numpy add/mul/neg/inv tables and the
-    orbit keys of evaluation sets.  Only the spec is built eagerly, so
-    creating one validates q cheaply."""
+    the default field, its dense numpy add/mul/neg/inv tables, the bad
+    eta pairs of every (u, v) class and the orbit keys of evaluation sets.
+    Only the spec is built eagerly, so creating one validates q cheaply."""
 
     def __init__(self, q: int):
         import numpy as np
@@ -117,6 +119,28 @@ class _FieldKernel:
         neg = np.array([ctx.neg(x) for x in elems], dt)
         inv = np.array([0] + [ctx.inv(x) for x in elems[1:]], dt)
         return add, mul, neg, inv
+
+    @cached_property
+    def classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """(bad_eta2, dead), the bad eta pairs of every (u, v) class.
+
+        A k-subset's closed form is 1 - u*eta1 + v*eta2 + w*eta1*eta2 with
+        w = e_k^2 = u^2, so its bad pairs depend on (u, v) alone.  Both
+        arrays have shape (q*q, q-1), row u*q + v and column eta1 - 1.
+        bad_eta2 holds the one eta2 that zeroes the expression, or 0 when
+        none does (eta2 = 0 lies outside the counted grid); dead marks the
+        eta1 whose whole eta2 row is bad, slope and constant both 0, which
+        happens exactly at v = -u != 0 and eta1 = 1/u."""
+        import numpy as np
+        add, mul, neg, inv = self.tables
+        q = self.q
+        u = np.repeat(np.arange(q), q)[:, None]
+        v = np.tile(np.arange(q), q)[:, None]
+        h1 = np.arange(1, q)
+        slope = add[v, mul[mul[u, u], h1]]  # expr = const + eta2 * slope
+        const = add[1, neg[mul[u, h1]]]
+        bad_eta2 = mul[neg[const], inv[slope]]  # inv[0] = 0
+        return bad_eta2, (slope == 0) & (const == 0)
 
     def orbits(self, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(first, inverse) for the orbits of the rows of sets, every sorted
@@ -189,7 +213,7 @@ def _remark44_set_counts(kern: _FieldKernel, n: int, k: int, sets_arr: np.ndarra
     sets_arr has shape (B, n); returns a (B,) int64 vector.
     """
     import numpy as np
-    add, mul, neg, inv = kern.tables
+    add, mul, neg, _ = kern.tables
     q = kern.q
     bsz = sets_arr.shape[0]
     idx = _subset_indices(n, k)
@@ -216,22 +240,23 @@ def _remark44_set_counts(kern: _FieldKernel, n: int, k: int, sets_arr: np.ndarra
     sign_k = kern.field.sign(k)
     u = mul[sign_k][ek]  # coefficient of eta1
     v = mul[sign_k][add[mul[ekm1, e1], neg[ek]]]  # coefficient of eta2
-    w = mul[ek, ek]  # coefficient of eta1*eta2
 
-    grid = np.zeros((bsz, q, q), bool)  # bad (eta1, eta2) pairs
-    for h1 in range(1, q):
-        slope = add[v, mul[w, h1]]  # expr = const + eta2 * slope
-        const = add[1, neg[mul[u, h1]]]
-        line = slope != 0
-        bad = mul[neg[const], inv[slope]]
-        mark = line & (bad != 0)
-        if mark.any():
-            bi, _ = np.nonzero(mark)
-            grid[bi, h1, bad[mark]] = True
-        dead = (~line) & (const == 0)  # expr is identically zero in eta2
-        if dead.any():
-            grid[np.unique(np.nonzero(dead)[0]), h1, 1:] = True
-    return (q - 1) ** 2 - grid[:, 1:, 1:].reshape(bsz, -1).sum(axis=1)
+    # each (set, class) pair once
+    uv = u.astype(np.intp)
+    uv *= q
+    uv += v
+    hit = np.zeros((bsz, q * q), bool)
+    hit[np.arange(bsz)[:, None], uv] = True
+    si, cls = np.nonzero(hit)
+    bad_eta2, dead = kern.classes
+    grid = np.zeros((bsz, q - 1, q), bool)  # bad (eta1, eta2) pairs, row eta1 - 1
+    flat = (si * (q - 1))[:, None] + np.arange(q - 1)  # grid row of (set, eta1)
+    flat *= q
+    flat += bad_eta2[cls]
+    grid.reshape(-1)[flat] = True
+    di, dh = np.nonzero(dead[cls])  # whole eta2 rows
+    grid[si[di], dh, 1:] = True
+    return (q - 1) ** 2 - grid[:, :, 1:].sum(axis=(1, 2))
 
 
 def _bruteforce_set_count(ctx: Field, n: int, k: int, subset) -> int:
@@ -255,8 +280,13 @@ def _count_chunk(args) -> np.ndarray:
         ctx = kern.field
         return np.array([_bruteforce_set_count(ctx, n, k, s) for s in chunk.tolist()], np.int64)
     sk = comb(n, k)
-    # keep both the (B, S, k) value tensor and the (B, q, q) grids small
-    batch = max(1, min(4_000_000 // max(1, sk * k), 8_000_000 // (q * q)))
+    # keep the (B, S, k) value tensor, the (B, q*q) class presence and bad
+    # pair arrays and the (pairs, q-1) gather of bad_eta2 rows small; a set
+    # hits at most min(S, q*q) classes
+    batch = max(
+        1,
+        min(4_000_000 // (sk * k), 8_000_000 // (q * q), 4_000_000 // (min(sk, q * q) * (q - 1))),
+    )
     return np.concatenate(
         [_remark44_set_counts(kern, n, k, chunk[i : i + batch]) for i in range(0, len(chunk), batch)]
     )

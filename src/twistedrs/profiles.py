@@ -25,16 +25,29 @@ def field_from_doc(doc: dict) -> Field:
     return Field(FieldSpec(int(f["p"]), int(f["m"]), tuple(int(c) for c in f["modulus"])))
 
 
+def _integer(x) -> int:
+    """x itself if it is a JSON integer; a bool or a float is not one."""
+    if type(x) is not int:
+        raise TypeError(f"expected an integer, got {x!r}")
+    return x
+
+
+def _elements(ctx: Field, items, key: str) -> tuple:
+    if not isinstance(items, list):
+        raise TypeError(f"{key} must be a list, got {items!r}")
+    return ctx.parse_vector(items)
+
+
 def code_from_profile(doc: dict) -> MultiTwistedCode:
     """The code a profile document describes; a document whose values have
     the wrong JSON types raises ValueError("malformed profile: ...")."""
     try:
         ctx = field_from_doc(doc)
-        k = int(doc["k"])
-        t = tuple(int(x) for x in doc.get("t", ()))
-        h = tuple(int(x) for x in doc.get("h", ()))
-        eta = ctx.parse_vector(doc.get("eta", ()))
-        alpha = ctx.parse_vector(doc["alpha"])
+        k = _integer(doc["k"])
+        t = tuple(map(_integer, doc.get("t", ())))
+        h = tuple(map(_integer, doc.get("h", ())))
+        eta = _elements(ctx, doc.get("eta", []), "eta")
+        alpha = _elements(ctx, doc["alpha"], "alpha")
     except TypeError as exc:
         raise ValueError(f"malformed profile: {exc}") from exc
     return MultiTwistedCode(ctx, TwistProfile(k, t, h, eta), alpha)

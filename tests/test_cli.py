@@ -159,6 +159,8 @@ def test_domain_error_exit_code_1(capsys):
         dict(EX32_PROFILE, alpha=5),
         [1, 2],
         dict(EX32_PROFILE, k=None),
+        dict(EX32_PROFILE, alpha="0123"),
+        dict(EX32_PROFILE, k=2.7),
     ],
 )
 def test_malformed_profile_exit_code_1(tmp_path, capsys, doc):

@@ -1,8 +1,10 @@
 """Counting loop semantics, worker determinism, and the parameter search."""
 
 import itertools
+import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from twistedrs import enumeration
@@ -13,7 +15,7 @@ from twistedrs.codes import (
     TwistProfile,
     is_mds_bruteforce,
 )
-from twistedrs.criteria import theorem42_is_mds
+from twistedrs.criteria import remark44_is_mds, theorem42_is_mds
 from twistedrs.enumeration import (
     EnumTask,
     SearchHit,
@@ -90,6 +92,50 @@ def test_kernel_tables_match_scalar_field(q):
         assert mul[x].tolist() == [ctx.mul(x, y) for y in range(q)]
     assert neg.tolist() == [ctx.neg(x) for x in range(q)]
     assert inv.tolist() == [0] + [ctx.inv(x) for x in range(1, q)]
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16, 17, 25, 27])
+def test_class_table_matches_scalar_expression(q):
+    # every (u, v) class and eta1: the nonzero eta2 the table marks bad are
+    # exactly the zeros of 1 - u*eta1 + v*eta2 + u^2*eta1*eta2
+    ctx = Field.of_order(q)
+    bad_eta2, dead = _kernel(q).classes
+    assert bad_eta2.shape == dead.shape == (q * q, q - 1)
+    for u in range(q):
+        for h1 in range(1, q):
+            const = ctx.sub(ctx.one, ctx.mul(u, h1))
+            cross = ctx.mul(ctx.mul(u, u), h1)
+            for v in range(q):
+                row, col = u * q + v, h1 - 1
+                zeros = {
+                    h2
+                    for h2 in range(1, q)
+                    if ctx.add(const, ctx.add(ctx.mul(v, h2), ctx.mul(cross, h2))) == 0
+                }
+                marked = {int(bad_eta2[row, col])} | (set(range(1, q)) if dead[row, col] else set())
+                assert marked - {0} == zeros
+                assert dead[row, col] == (u != 0 and v == ctx.neg(u) and h1 == ctx.inv(u))
+
+
+@pytest.mark.parametrize("q", [9, 25, 27, 49, 8, 16, 32])
+def test_set_counts_match_scalar_oracle(q):
+    # seeded random evaluation sets, half of them holding 0, against a count
+    # of the eta pairs the scalar closed form calls MDS
+    ctx = Field.of_order(q)
+    rng = random.Random(q)
+    for k in (2, 3, 4):
+        n = k + 2
+        sets = [sorted(rng.sample(range(1, q), n - 1) + [0]), sorted(rng.sample(range(1, q), n))]
+        tallies = _remark44_set_counts(_kernel(q), n, k, np.array(sets, _kernel(q).dtype))
+        oracle = [
+            sum(
+                remark44_is_mds(ctx, alpha, k, eta1, eta2).is_mds
+                for eta1 in range(1, q)
+                for eta2 in range(1, q)
+            )
+            for alpha in sets
+        ]
+        assert tallies.tolist() == oracle
 
 
 @pytest.mark.parametrize(
