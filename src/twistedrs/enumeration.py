@@ -134,13 +134,16 @@ class _FieldKernel:
         import numpy as np
         add, mul, neg, inv = self.tables
         q = self.q
-        u = np.repeat(np.arange(q), q)[:, None]
-        v = np.tile(np.arange(q), q)[:, None]
-        h1 = np.arange(1, q)
-        slope = add[v, mul[mul[u, u], h1]]  # expr = const + eta2 * slope
-        const = add[1, neg[mul[u, h1]]]
-        bad_eta2 = mul[neg[const], inv[slope]]  # inv[0] = 0
-        return bad_eta2, (slope == 0) & (const == 0)
+        v, h1 = np.arange(q)[:, None], np.arange(1, q)
+        bad_eta2 = np.empty((q, q, q - 1), self.dtype)
+        dead = np.empty((q, q, q - 1), bool)
+        # one u at a time keeps the temporaries at q*(q-1) entries
+        for u in range(q):
+            slope = add[v, mul[mul[u, u], h1]]  # expr = const + eta2 * slope
+            const = add[1, neg[mul[u, h1]]]
+            bad_eta2[u] = mul[neg[const], inv[slope]]  # inv[0] = 0
+            dead[u] = (slope == 0) & (const == 0)
+        return bad_eta2.reshape(q * q, q - 1), dead.reshape(q * q, q - 1)
 
     def orbits(self, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(first, inverse) for the orbits of the rows of sets, every sorted
@@ -241,16 +244,15 @@ def _remark44_set_counts(kern: _FieldKernel, n: int, k: int, sets_arr: np.ndarra
     u = mul[sign_k][ek]  # coefficient of eta1
     v = mul[sign_k][add[mul[ekm1, e1], neg[ek]]]  # coefficient of eta2
 
-    # each (set, class) pair once
-    uv = u.astype(np.intp)
-    uv *= q
-    uv += v
+    # each (set, class) pair once; int32 indices suffice, as a batch's grid
+    # has fewer than 2^31 cells, and numpy reads them without an intp copy
     hit = np.zeros((bsz, q * q), bool)
-    hit[np.arange(bsz)[:, None], uv] = True
+    hit[np.arange(bsz)[:, None], u.astype(np.int32) * q + v] = True
     si, cls = np.nonzero(hit)
     bad_eta2, dead = kern.classes
     grid = np.zeros((bsz, q - 1, q), bool)  # bad (eta1, eta2) pairs, row eta1 - 1
-    flat = (si * (q - 1))[:, None] + np.arange(q - 1)  # grid row of (set, eta1)
+    # flat grid index of (set, eta1, bad eta2)
+    flat = (si * (q - 1)).astype(np.int32)[:, None] + np.arange(q - 1, dtype=np.int32)
     flat *= q
     flat += bad_eta2[cls]
     grid.reshape(-1)[flat] = True
@@ -281,11 +283,11 @@ def _count_chunk(args) -> np.ndarray:
         return np.array([_bruteforce_set_count(ctx, n, k, s) for s in chunk.tolist()], np.int64)
     sk = comb(n, k)
     # keep the (B, S, k) value tensor, the (B, q*q) class presence and bad
-    # pair arrays and the (pairs, q-1) gather of bad_eta2 rows small; a set
-    # hits at most min(S, q*q) classes
+    # pair arrays and the (pairs, q-1) scatter index small; a set hits at
+    # most min(S, q*q) classes
     batch = max(
         1,
-        min(4_000_000 // (sk * k), 8_000_000 // (q * q), 4_000_000 // (min(sk, q * q) * (q - 1))),
+        min(4_000_000 // (sk * k), 8_000_000 // (q * q), 1_000_000 // (min(sk, q * q) * (q - 1))),
     )
     return np.concatenate(
         [_remark44_set_counts(kern, n, k, chunk[i : i + batch]) for i in range(0, len(chunk), batch)]
