@@ -29,7 +29,6 @@ from .field import Field, FieldSpec, default_modulus
 from .hull import (
     GramParts,
     HullReport,
-    SubgroupEval,
     construct_even,
     construct_odd,
     gram_decomposition,
@@ -52,7 +51,6 @@ __all__ = [
     "MdsVerdict",
     "MultiTwistedCode",
     "SearchHit",
-    "SubgroupEval",
     "TwistProfile",
     "appendix_a_determinants",
     "construct_even",

@@ -14,7 +14,7 @@ truth the structural criteria in mds-criteria are validated against.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
@@ -82,23 +82,10 @@ def check_eval_vector(ctx: Field, alpha) -> tuple[FieldElement, ...]:
 
 
 @dataclass(frozen=True)
-class SubgroupOrigin:
-    """Provenance for codes built on doubled multiplicative-subgroup points."""
-
-    parity: str  # "even" or "odd"
-    k: int  # subgroup order
-    t: tuple[int, ...]
-    h: tuple[int, ...]
-    eta: tuple[FieldElement, ...]
-    alpha_base: tuple[FieldElement, ...]  # the order-k subgroup listing
-
-
-@dataclass(frozen=True)
 class MultiTwistedCode:
     ctx: Field
     profile: TwistProfile
     alpha: tuple[FieldElement, ...]
-    origin: Optional[SubgroupOrigin] = dc_field(default=None, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", check_eval_vector(self.ctx, self.alpha))

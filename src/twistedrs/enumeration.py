@@ -42,6 +42,7 @@ from .codes import (
     LinearCodeView,
     MultiTwistedCode,
     TwistProfile,
+    check_eval_vector,
     is_mds_bruteforce,
 )
 from .criteria import DOUBLE_TWIST, remark44_is_mds, theorem31_is_mds
@@ -377,7 +378,7 @@ def search_mds(
     if k - 1 + (t[-1] if t else 0) >= n:
         raise ValueError("degree bound violated: need k-1+t_ell < n")
     if alpha is not None:
-        alpha = tuple(alpha)
+        alpha = check_eval_vector(ctx, alpha)
         if len(alpha) != n:
             raise ValueError("fixed alpha must have length n")
     special = (t, h) == DOUBLE_TWIST
@@ -390,16 +391,11 @@ def search_mds(
 
     if strategy == "exhaustive":
         alphas = [alpha] if alpha is not None else itertools.combinations(range(ctx.q), n)
-        empty = True
         for al in alphas:
-            empty = False
-            al = tuple(al)
             for eta in itertools.product(range(1, ctx.q), repeat=ell):
                 method = check(al, eta)
                 if method:
                     yield SearchHit(al, eta, method)
-        if empty:
-            raise ValueError("empty search space")
     elif strategy == "random":
         if trials < 1:
             raise ValueError("empty search space: trials must be >= 1")

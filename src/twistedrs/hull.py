@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import LinearCodeView, MultiTwistedCode, SubgroupOrigin, TwistProfile
+from .codes import LinearCodeView, MultiTwistedCode, TwistProfile
 from .field import Field, FieldElement
 from .linalg import Matrix
 
@@ -35,20 +35,9 @@ def power_sum_theta(ctx: Field, k: int, m: int) -> FieldElement:
     return (k % ctx.p) if m % k == 0 else 0
 
 
-@dataclass(frozen=True)
-class SubgroupEval:
-    """Doubled subgroup evaluation vector: the order-k subgroup followed by
-    its translate by the primitive element."""
-
-    k: int
-    alpha: tuple[FieldElement, ...]
-
-    @property
-    def base(self) -> tuple[FieldElement, ...]:
-        return self.alpha[: self.k]
-
-
-def subgroup_eval(ctx: Field, k: int) -> SubgroupEval:
+def subgroup_eval(ctx: Field, k: int) -> tuple[FieldElement, ...]:
+    """The order-k subgroup of the multiplicative group followed by its
+    translate by the primitive element: 2k evaluation points."""
     if k < 1 or (ctx.q - 1) % k != 0:
         raise ValueError(f"k = {k} does not divide q - 1 = {ctx.q - 1}")
     if k >= ctx.q - 1:
@@ -60,7 +49,7 @@ def subgroup_eval(ctx: Field, k: int) -> SubgroupEval:
     alpha = base + tuple(ctx.mul(ctx.gamma, x) for x in base)
     if len(set(alpha)) != 2 * k:
         raise ValueError("subgroup evaluation points are not distinct")
-    return SubgroupEval(k, alpha)
+    return alpha
 
 
 @dataclass(frozen=True)
@@ -89,32 +78,30 @@ def hull_report(view: LinearCodeView) -> HullReport:
 # -- the two constructive families -------------------------------------------
 
 
-def _a_block(ctx: Field, origin: SubgroupOrigin, beta: FieldElement, nrows: int) -> Matrix:
-    pts = [ctx.mul(beta, x) for x in origin.alpha_base]
-    return Matrix(ctx, [[ctx.pow(x, j) for x in pts] for j in range(nrows)])
+def _halves(code: MultiTwistedCode) -> tuple[tuple[FieldElement, ...], ...]:
+    """The two halves of code.alpha, which must be subgroup_eval(ctx, n/2)."""
+    ctx, (k, odd) = code.ctx, divmod(code.n, 2)
+    if odd or (ctx.q - 1) % k or k >= ctx.q - 1 or code.alpha != subgroup_eval(ctx, k):
+        raise ValueError("code points are not a doubled multiplicative subgroup")
+    return code.alpha[:k], code.alpha[k:]
 
 
-def _b_block(ctx: Field, origin: SubgroupOrigin, beta: FieldElement, nrows: int) -> Matrix:
-    pts = [ctx.mul(beta, x) for x in origin.alpha_base]
-    rows = [[0] * origin.k for _ in range(nrows)]
-    for tj, hj, ej in zip(origin.t, origin.h, origin.eta):
-        d = origin.k - 1 + tj
-        rows[hj] = [ctx.mul(ej, ctx.pow(x, d)) for x in pts]
-    return Matrix(ctx, rows)
+def _blocks(code: MultiTwistedCode, pts) -> tuple[Matrix, Matrix]:
+    """(A, B) on one half: A holds the powers 0..dim-1 of the points, B the
+    twist monomials eta_j x^{k-1+t_j} at row h_j and zeros elsewhere."""
+    ctx, pr = code.ctx, code.profile
+    a = Matrix(ctx, [[ctx.pow(x, i) for x in pts] for i in range(pr.k)])
+    b = [[0] * len(pts) for _ in range(pr.k)]
+    for tj, hj, ej in zip(pr.t, pr.h, pr.eta):
+        b[hj] = [ctx.mul(ej, ctx.pow(x, pr.k - 1 + tj)) for x in pts]
+    return a, Matrix(ctx, b)
 
 
-def _blocks_generator(ctx: Field, origin: SubgroupOrigin, nrows: int) -> Matrix:
-    """[A_1 : A_gamma] + [B_1 : B_gamma], the proof-literal row layout;
-    the tests check that it equals the constructors' generator matrix."""
-    out = []
-    for r in range(nrows):
-        row = []
-        for beta in (ctx.one, ctx.gamma):
-            a = _a_block(ctx, origin, beta, nrows).data[r]
-            b = _b_block(ctx, origin, beta, nrows).data[r]
-            row.extend(ctx.add(x, y) for x, y in zip(a, b))
-        out.append(row)
-    return Matrix(ctx, out)
+def _blocks_generator(code: MultiTwistedCode) -> Matrix:
+    """[A_1 + B_1 : A_gamma + B_gamma], the proof-literal row layout; the
+    tests check that it equals the code's generator matrix."""
+    one, gamma = (a.add(b).data for a, b in (_blocks(code, pts) for pts in _halves(code)))
+    return Matrix(code.ctx, [r1 + rg for r1, rg in zip(one, gamma)])
 
 
 def construct_even(ctx: Field, k: int, t, h, eta) -> MultiTwistedCode:
@@ -138,9 +125,7 @@ def construct_even(ctx: Field, k: int, t, h, eta) -> MultiTwistedCode:
         raise ValueError("need t_1 > 1")
     if t[-1] > k:
         raise ValueError("need t_ell <= n - k = k")
-    sub = subgroup_eval(ctx, k)
-    origin = SubgroupOrigin("even", k, t, h, eta, sub.base)
-    return MultiTwistedCode(ctx, profile, sub.alpha, origin)
+    return MultiTwistedCode(ctx, profile, subgroup_eval(ctx, k))
 
 
 def construct_odd(ctx: Field, k: int, t, h, eta) -> MultiTwistedCode:
@@ -165,10 +150,8 @@ def construct_odd(ctx: Field, k: int, t, h, eta) -> MultiTwistedCode:
         raise ValueError("need h_ell <= k - 2")
     if t[-1] >= k:
         raise ValueError("need t_ell < k")
-    sub = subgroup_eval(ctx, k)
-    origin = SubgroupOrigin("odd", k, t, h, eta, sub.base)
     shifted = TwistProfile(k - 1, tuple(tj + 1 for tj in t), h, eta)
-    return MultiTwistedCode(ctx, shifted, sub.alpha, origin)
+    return MultiTwistedCode(ctx, shifted, subgroup_eval(ctx, k))
 
 
 @dataclass(frozen=True)
@@ -179,36 +162,30 @@ class GramParts:
     a_gamma: Matrix  # A_gamma A_gamma^T
     b_one: Matrix  # B_1 B_1^T
     b_gamma: Matrix  # B_gamma B_gamma^T
-    aat_sum: Matrix
-    bbt_sum: Matrix
-    cross: Matrix  # A B^T + B A^T summed over both beta
-    total: Matrix
+    cross: Matrix  # A B^T + B A^T summed over both halves
+
+    @property
+    def aat_sum(self) -> Matrix:
+        return self.a_one.add(self.a_gamma)
+
+    @property
+    def bbt_sum(self) -> Matrix:
+        return self.b_one.add(self.b_gamma)
+
+    @property
+    def total(self) -> Matrix:
+        return self.aat_sum.add(self.bbt_sum).add(self.cross)
 
 
 def gram_decomposition(code: MultiTwistedCode) -> GramParts:
-    if code.origin is None:
-        raise ValueError("code was not built by a subgroup hull constructor")
-    ctx, origin = code.ctx, code.origin
-    nrows = origin.k if origin.parity == "even" else origin.k - 1
-    prods = {}
-    cross = None
-    for beta in (ctx.one, ctx.gamma):
-        a = _a_block(ctx, origin, beta, nrows)
-        b = _b_block(ctx, origin, beta, nrows)
-        prods[("a", beta)] = a.mat_mul(a.transpose())
-        prods[("b", beta)] = b.mat_mul(b.transpose())
-        ab = a.mat_mul(b.transpose())
-        term = ab.add(ab.transpose())
-        cross = term if cross is None else cross.add(term)
-    aat = prods[("a", ctx.one)].add(prods[("a", ctx.gamma)])
-    bbt = prods[("b", ctx.one)].add(prods[("b", ctx.gamma)])
+    """The split of G G^T for a code on doubled subgroup points, read from
+    the code's profile; any other points raise ValueError."""
+    (a1, b1), (ag, bg) = (_blocks(code, pts) for pts in _halves(code))
+    ab1, abg = a1.mat_mul(b1.transpose()), ag.mat_mul(bg.transpose())
     return GramParts(
-        prods[("a", ctx.one)],
-        prods[("a", ctx.gamma)],
-        prods[("b", ctx.one)],
-        prods[("b", ctx.gamma)],
-        aat,
-        bbt,
-        cross,
-        aat.add(bbt).add(cross),
+        a1.mat_mul(a1.transpose()),
+        ag.mat_mul(ag.transpose()),
+        b1.mat_mul(b1.transpose()),
+        bg.mat_mul(bg.transpose()),
+        ab1.add(ab1.transpose()).add(abg).add(abg.transpose()),
     )

@@ -33,8 +33,13 @@ def _integer(x) -> int:
 
 
 def _elements(ctx: Field, items, key: str) -> tuple:
+    """The list items as field elements: element strings, or integers in
+    [0, q); any other value raises TypeError."""
     if not isinstance(items, list):
         raise TypeError(f"{key} must be a list, got {items!r}")
+    for x in items:
+        if not isinstance(x, str) and not 0 <= _integer(x) < ctx.q:
+            raise TypeError(f"{key} item {x!r} is not an element of GF({ctx.q})")
     return ctx.parse_vector(items)
 
 

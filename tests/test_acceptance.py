@@ -223,7 +223,7 @@ def test_criterion_04_example_5_6_mds_claim():
     terms = ((m0, 0), (m1, 1), (m2, 2), (m3, 3), (f81.mul(eta1, m2), 5), (f81.mul(eta2, m3), 6))
     direct = [
         functools.reduce(f81.add, (f81.mul(c, f81.pow(x, e)) for c, e in terms))
-        for x in subgroup_eval(f81, 5).alpha
+        for x in subgroup_eval(f81, 5)
     ]
     word = encode(printed, (m0, m1, m2, m3))
     assert word == direct

@@ -22,6 +22,15 @@ EX32_PROFILE = {
     "eta": ["a^3 + a^2", "1"],
 }
 
+GF7_PROFILE = {
+    "field": {"p": 7, "m": 1, "modulus": [0, 1]},
+    "alpha": [0, 1, 2, 3, 4],
+    "k": 3,
+    "t": [1, 2],
+    "h": [0, 1],
+    "eta": [1, 1],
+}
+
 
 def run(capsys, *argv):
     code = cli_main(list(argv))
@@ -161,6 +170,10 @@ def test_domain_error_exit_code_1(capsys):
         dict(EX32_PROFILE, k=None),
         dict(EX32_PROFILE, alpha="0123"),
         dict(EX32_PROFILE, k=2.7),
+        dict(GF7_PROFILE, eta=[-1, 1]),
+        dict(GF7_PROFILE, eta=[7, 1]),
+        dict(GF7_PROFILE, alpha=[0, 1, 2.7, 3, 4]),
+        dict(GF7_PROFILE, eta=[True, 1]),
     ],
 )
 def test_malformed_profile_exit_code_1(tmp_path, capsys, doc):
@@ -177,6 +190,12 @@ def test_search_negative_limit_exit_code_1(capsys):
     assert doc["error"]["type"] == "ValueError"
     assert "--limit" in doc["error"]["message"]
 
+
+def test_search_repeated_alpha_exit_code_1(capsys):
+    code, doc = run(capsys, "search", "--q", "7", "--n", "5", "--k", "3", "--alpha", "1,1,2,3,4")
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+    assert "distinct" in doc["error"]["message"]
 
 def test_usage_error_exit_code_2(capsys):
     with pytest.raises(SystemExit) as exc:

@@ -160,16 +160,19 @@ def test_theorem31_plain_rs_short_circuit(f16):
 
 
 def test_theorem31_agrees_with_bruteforce_on_random_codes():
+    """Random layouts with up to three twists, over prime fields and odd and
+    even prime powers up to GF(27)."""
     rng = random.Random(89)
     checked = 0
-    while checked < 300:
-        q = rng.choice([7, 8, 9, 11, 13])
+    drawn = Counter()
+    while checked < 500:
+        q = rng.choice([7, 8, 9, 11, 13, 25, 27])
         ctx = Field.of_order(q)
-        n = rng.randint(4, 7)
-        k = rng.randint(2, 4)
+        n = rng.randint(4, min(8, q))
+        k = rng.randint(2, 5)
         if k + 1 >= n:
             continue
-        ell = rng.randint(1, 2)
+        ell = rng.randint(1, 3)
         tmax = n - k
         if ell > min(tmax, k):
             continue
@@ -184,6 +187,9 @@ def test_theorem31_agrees_with_bruteforce_on_random_codes():
         if not v1.is_mds:
             assert v1.witness == v2.witness  # both scan subsets lexicographically
         checked += 1
+        drawn["ell3"] += ell == 3
+        drawn["q25_27"] += q in (25, 27)
+    assert drawn["ell3"] >= 30 and drawn["q25_27"] >= 50, drawn
 
 
 def test_theorem31_finds_singular_system_for_bad_eta(f7):

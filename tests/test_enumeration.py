@@ -235,6 +235,16 @@ def test_search_empty_space_errors(f7):
         list(search_mds(f7, 5, 3, strategy="sideways"))
 
 
+def test_search_rejects_repeated_fixed_points(f7):
+    """A repeated column is never MDS, so a fixed alpha with one is refused
+    for every layout and strategy."""
+    for layout in ({}, {"t": (1,), "h": (0,)}):
+        for strategy in ("exhaustive", "random"):
+            with pytest.raises(ValueError, match="distinct"):
+                list(search_mds(f7, 5, 3, alpha=(1, 1, 2, 3, 4), strategy=strategy, **layout))
+    with pytest.raises(ValueError, match="outside the field"):
+        list(search_mds(f7, 5, 3, alpha=(0, 1, 2, 3, 7)))
+
 def test_search_hit_is_frozen(f7):
     hit = next(iter(search_mds(f7, 5, 3)))
     assert isinstance(hit, SearchHit)

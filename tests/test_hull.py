@@ -8,6 +8,7 @@ import pytest
 from twistedrs import codes, criteria, enumeration, hull
 from twistedrs.codes import LinearCodeView, MultiTwistedCode, TwistProfile, generator_matrix, hull_direct
 from twistedrs.criteria import theorem31_is_mds
+from twistedrs.cli import cli_main
 from twistedrs.codes import min_distance_bruteforce
 from twistedrs.enumeration import search_mds
 from twistedrs.field import Field
@@ -21,6 +22,7 @@ from twistedrs.hull import (
     subgroup_eval,
 )
 from twistedrs.linalg import Matrix
+from twistedrs.profiles import load_profile
 
 
 def strings(ctx, m):
@@ -61,10 +63,9 @@ def test_theta_bad_subgroup_order(f16):
 
 
 def test_subgroup_eval_even_example_points(f16):
-    sub = subgroup_eval(f16, 3)
+    alpha = subgroup_eval(f16, 3)
     expect = ["a^2 + a", "a^2 + a + 1", "1", "a^3 + a^2", "a^3 + a^2 + a", "a"]
-    assert [f16.format(x) for x in sub.alpha] == expect
-    assert sub.base == sub.alpha[:3]
+    assert [f16.format(x) for x in alpha] == expect
 
 
 def test_subgroup_eval_rejects_full_group(f16):
@@ -185,7 +186,7 @@ def test_construct_even_random_draws_have_hull(f16):
         t, h, eta = _random_even_params(ctx, rng, k)
         code = construct_even(ctx, k, t, h, eta)
         g = generator_matrix(code)
-        assert g == _blocks_generator(ctx, code.origin, k)
+        assert g == _blocks_generator(code)
         gp = gram_decomposition(code)
         assert gp.total == g.mat_mul(g.transpose())
         view = LinearCodeView.of_code(code)
@@ -306,7 +307,7 @@ def test_construct_odd_random_draws_have_hull():
         t, h, eta = _random_odd_params(ctx, rng, k)
         code = construct_odd(ctx, k, t, h, eta)
         g = generator_matrix(code)
-        assert g == _blocks_generator(ctx, code.origin, k - 1)
+        assert g == _blocks_generator(code)
         gp = gram_decomposition(code)
         assert gp.total == g.mat_mul(g.transpose())
         view = LinearCodeView.of_code(code)
@@ -329,14 +330,42 @@ def test_gram_parts_sum_on_random_constructions(f16):
             code = construct_odd(f9, 4, *_random_odd_params(f9, rng, 4))
         gp = gram_decomposition(code)
         g = generator_matrix(code)
-        assert g == _blocks_generator(code.ctx, code.origin, code.dim)
+        assert g == _blocks_generator(code)
         assert gp.total == g.mat_mul(g.transpose())
 
 
 def test_gram_decomposition_requires_provenance(f16):
     code = MultiTwistedCode(f16, TwistProfile(2), (0, 1, 2))
-    with pytest.raises(ValueError, match="constructor"):
+    with pytest.raises(ValueError, match="doubled multiplicative subgroup"):
         gram_decomposition(code)
+
+
+def test_gram_decomposition_reads_the_code(tmp_path, capsys, f16, f81):
+    """A code equal to a constructed one, rebuilt from its parts or loaded
+    from the construct-* JSON, has the same block decomposition; the same
+    profile on other points has none."""
+    cases = [
+        (even_example(f16), ["--q", "16", "--k", "3", "--t", "2,3", "--h", "1,2", "--eta", "a^3,a^3+a^2"]),
+        (odd_example(f81), ["--q", "81", "--k", "5", "--t", "1,2", "--h", "2,3", "--eta", "a^3+a^2,a"]),
+    ]
+    for (code, flags), command in zip(cases, ("construct-even", "construct-odd")):
+        assert cli_main([command, *flags]) == 0
+        path = tmp_path / f"{command}.json"
+        path.write_text(capsys.readouterr().out, encoding="utf-8")
+        parts = gram_decomposition(code)
+        for same in (MultiTwistedCode(code.ctx, code.profile, code.alpha), load_profile(str(path))):
+            assert same == code
+            assert gram_decomposition(same) == parts
+            assert _blocks_generator(same) == generator_matrix(code)
+        half = code.n // 2
+        for alpha in (code.alpha[half:] + code.alpha[:half], tuple(range(code.n))):
+            other = MultiTwistedCode(code.ctx, code.profile, alpha)
+            for call in (gram_decomposition, _blocks_generator):
+                with pytest.raises(ValueError, match="doubled multiplicative subgroup"):
+                    call(other)
+    # n/2 = 4 does not divide 15: refused before subgroup_eval is asked
+    with pytest.raises(ValueError, match="doubled multiplicative subgroup"):
+        gram_decomposition(MultiTwistedCode(f16, TwistProfile(3), tuple(range(8))))
 
 
 def test_mds_and_hull_combination_even(f16):
@@ -386,7 +415,7 @@ def test_calls_do_not_run_their_oracles(f7, f16, f81, monkeypatch):
             monkeypatch.setattr(mod, name, oracle, raising=False)
     assert [hull_report(v) for v in views] == reports
     again = [construct_even(*even_args), construct_odd(*odd_args)]
-    assert again == built and [c.origin for c in again] == [c.origin for c in built]
+    assert again == built
     assert [gram_decomposition(c) for c in again] == parts
     assert [list(search()) for search in searches] == hits
     with monkeypatch.context() as mp:
