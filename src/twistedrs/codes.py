@@ -89,6 +89,8 @@ class MultiTwistedCode:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", check_eval_vector(self.ctx, self.alpha))
+        if any(not 0 < e < self.ctx.q for e in self.profile.eta):
+            raise ValueError("every eta_i must be a nonzero field element")
         if self.profile.k >= self.n:
             raise ValueError("need k < n")
         if self.profile.max_degree >= self.n:

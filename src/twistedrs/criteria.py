@@ -23,6 +23,7 @@ from .codes import (
     MdsVerdict,
     MultiTwistedCode,
     TwistProfile,
+    check_eval_vector,
 )
 from .field import Field, FieldElement
 from .linalg import Matrix
@@ -209,14 +210,19 @@ def remark44_expression(ctx: Field, values, k: int, eta1, eta2) -> FieldElement:
     return ctx.add(out, ctx.mul(ctx.mul(eta1, eta2), ctx.mul(e[k], e[k])))
 
 
+def _double_twist_points(ctx: Field, alpha, k: int, eta1, eta2) -> tuple[FieldElement, ...]:
+    """alpha as a tuple of distinct field points, once 2 <= k < n and eta1,
+    eta2 are checked to be nonzero field elements."""
+    alpha = check_eval_vector(ctx, alpha)
+    if not (0 < eta1 < ctx.q and 0 < eta2 < ctx.q and 2 <= k < len(alpha)):
+        raise ValueError("need nonzero field elements eta1, eta2 and 2 <= k < n")
+    return alpha
+
+
 def remark44_is_mds(ctx: Field, alpha, k: int, eta1, eta2) -> MdsVerdict:
     """MDS iff the expression is nonzero for every k-subset of evaluation
     points (subsets may contain zero)."""
-    alpha = tuple(alpha)
-    if eta1 == 0 or eta2 == 0:
-        raise ValueError("eta1 and eta2 must be nonzero")
-    if k >= len(alpha):
-        raise ValueError("need k < n")
+    alpha = _double_twist_points(ctx, alpha, k, eta1, eta2)
     for subset in itertools.combinations(range(len(alpha)), k):
         if remark44_expression(ctx, [alpha[i] for i in subset], k, eta1, eta2) == 0:
             return MdsVerdict(False, "remark44", subset)
@@ -246,11 +252,7 @@ def theorem42_is_mds(ctx: Field, alpha, k: int, eta1, eta2) -> MdsVerdict:
     over GF(5) with all four nonzero points).  See the oracle-equivalence
     tests.
     """
-    alpha = tuple(alpha)
-    if eta1 == 0 or eta2 == 0:
-        raise ValueError("eta1 and eta2 must be nonzero")
-    if k >= len(alpha) or k < 2:
-        raise ValueError("need 2 <= k < n")
+    alpha = _double_twist_points(ctx, alpha, k, eta1, eta2)
     nz_idx = _nonzero_positions(alpha)
     has_zero = len(nz_idx) < len(alpha)
     for subset in itertools.combinations(nz_idx, k):

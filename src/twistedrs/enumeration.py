@@ -13,7 +13,8 @@ expression of one k-subset is 1 - u*eta1 + v*eta2 + u^2*eta1*eta2, so
 its bad eta pairs depend only on its class (u, v) in GF(q)^2.  The bad
 eta2 of every class and eta1 are tabulated once per field; a set then
 marks the table rows of the classes its subsets hit, instead of testing
-all (q-1)^2 pairs.
+all (q-1)^2 pairs, and fills the whole eta2 row at eta1 = 1/u of each
+class with v = -u != 0, where the expression is 0 for every eta2.
 
 It also runs once per orbit of evaluation sets under the group of maps
 x -> c * x^(p^j) (c nonzero, 0 <= j < m).  Such a map scales the
@@ -122,29 +123,27 @@ class _FieldKernel:
         return add, mul, neg, inv
 
     @cached_property
-    def classes(self) -> tuple[np.ndarray, np.ndarray]:
-        """(bad_eta2, dead), the bad eta pairs of every (u, v) class.
+    def classes(self) -> np.ndarray:
+        """bad_eta2, the one bad eta2 of every (u, v) class and eta1.
 
         A k-subset's closed form is 1 - u*eta1 + v*eta2 + w*eta1*eta2 with
-        w = e_k^2 = u^2, so its bad pairs depend on (u, v) alone.  Both
-        arrays have shape (q*q, q-1), row u*q + v and column eta1 - 1.
-        bad_eta2 holds the one eta2 that zeroes the expression, or 0 when
-        none does (eta2 = 0 lies outside the counted grid); dead marks the
-        eta1 whose whole eta2 row is bad, slope and constant both 0, which
-        happens exactly at v = -u != 0 and eta1 = 1/u."""
+        w = e_k^2 = u^2, so its bad pairs depend on (u, v) alone.  The
+        array has shape (q*q, q-1), row u*q + v and column eta1 - 1, and
+        holds the one eta2 that zeroes the expression, or 0 when none does
+        (eta2 = 0 lies outside the counted grid).  Where slope and constant
+        are both 0 every eta2 is bad and the entry is 0; the count fills
+        those whole rows itself."""
         import numpy as np
         add, mul, neg, inv = self.tables
         q = self.q
         v, h1 = np.arange(q)[:, None], np.arange(1, q)
         bad_eta2 = np.empty((q, q, q - 1), self.dtype)
-        dead = np.empty((q, q, q - 1), bool)
         # one u at a time keeps the temporaries at q*(q-1) entries
         for u in range(q):
             slope = add[v, mul[mul[u, u], h1]]  # expr = const + eta2 * slope
             const = add[1, neg[mul[u, h1]]]
             bad_eta2[u] = mul[neg[const], inv[slope]]  # inv[0] = 0
-            dead[u] = (slope == 0) & (const == 0)
-        return bad_eta2.reshape(q * q, q - 1), dead.reshape(q * q, q - 1)
+        return bad_eta2.reshape(q * q, q - 1)
 
     def orbits(self, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(first, inverse) for the orbits of the rows of sets, every sorted
@@ -217,29 +216,19 @@ def _remark44_set_counts(kern: _FieldKernel, n: int, k: int, sets_arr: np.ndarra
     sets_arr has shape (B, n); returns a (B,) int64 vector.
     """
     import numpy as np
-    add, mul, neg, _ = kern.tables
+    add, mul, neg, inv = kern.tables
     q = kern.q
     bsz = sets_arr.shape[0]
     idx = _subset_indices(n, k)
     vals = sets_arr[:, idx]  # (B, S, k)
 
-    e1 = vals[:, :, 0]
-    ek = vals[:, :, 0]
+    # e_1, e_{m-1} and e_m of the first m values; appending a value x makes
+    # them e_1 + x, e_m + x*e_{m-1} and e_m*x (from m = 1, where e_0 = 1)
+    e1 = ek = vals[:, :, 0]
+    ekm1 = 1
     for j in range(1, k):
-        e1 = add[e1, vals[:, :, j]]
-        ek = mul[ek, vals[:, :, j]]
-    # e_{k-1} = sum over j of the product with position j left out
-    ones = np.ones(vals.shape[:2], kern.dtype)
-    pre = [ones]
-    for j in range(k - 1):
-        pre.append(mul[pre[-1], vals[:, :, j]])
-    suf = [ones]
-    for j in range(k - 1, 0, -1):
-        suf.append(mul[suf[-1], vals[:, :, j]])
-    suf.reverse()
-    ekm1 = mul[pre[0], suf[0]]
-    for j in range(1, k):
-        ekm1 = add[ekm1, mul[pre[j], suf[j]]]
+        x = vals[:, :, j]
+        e1, ekm1, ek = add[e1, x], add[ek, mul[ekm1, x]], mul[ek, x]
 
     sign_k = kern.field.sign(k)
     u = mul[sign_k][ek]  # coefficient of eta1
@@ -250,15 +239,17 @@ def _remark44_set_counts(kern: _FieldKernel, n: int, k: int, sets_arr: np.ndarra
     hit = np.zeros((bsz, q * q), bool)
     hit[np.arange(bsz)[:, None], u.astype(np.int32) * q + v] = True
     si, cls = np.nonzero(hit)
-    bad_eta2, dead = kern.classes
     grid = np.zeros((bsz, q - 1, q), bool)  # bad (eta1, eta2) pairs, row eta1 - 1
     # flat grid index of (set, eta1, bad eta2)
     flat = (si * (q - 1)).astype(np.int32)[:, None] + np.arange(q - 1, dtype=np.int32)
     flat *= q
-    flat += bad_eta2[cls]
+    flat += kern.classes[cls]
     grid.reshape(-1)[flat] = True
-    di, dh = np.nonzero(dead[cls])  # whole eta2 rows
-    grid[si[di], dh, 1:] = True
+    # the whole eta2 row is bad, slope and constant both 0, exactly where
+    # v = -u != 0 and eta1 = 1/u
+    cu, cv = np.divmod(cls, q)
+    row = (cv == neg[cu]) & (cu != 0)
+    grid[si[row], inv[cu[row]] - 1, 1:] = True
     return (q - 1) ** 2 - grid[:, :, 1:].sum(axis=(1, 2))
 
 

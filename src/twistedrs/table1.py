@@ -6,7 +6,8 @@ k + 2 <= n <= q whose cost fits the enumeration budget gets a golden
 entry, keyed explicitly by the triple.  Out-of-budget cells are listed
 under "skipped" with their cost.
 
-Run as a module:  python -m twistedrs.table1 --out goldens/table1 --workers 2
+Run as a module:  python -m twistedrs.table1 --out goldens/table1
+(one worker, the default, is fastest: the pool starts once per cell)
 """
 
 from __future__ import annotations

@@ -393,3 +393,46 @@ def test_four_way_agreement_exhaustive_f5(f5):
 def test_four_way_agreement_f7_samples(f7):
     _quad_oracle_scan(f7, (0, 1, 2, 3, 4), 3)
     _quad_oracle_scan(f7, (1, 2, 3, 4, 6), 3)
+
+
+def test_double_twist_criteria_refuse_values_outside_the_field(f7):
+    # eta -1 (read as 6 by negative indexing) or 7, points outside GF(7) or
+    # repeated: no criterion answers and the code is not built
+    alpha = (0, 1, 2, 3, 4)
+    cases = [(alpha, (-1, 2)), (alpha, (7, 2)), ((0, 1, 2, 3, 9), (1, 2)), ((1, 1, 2, 3, 4), (1, 2))]
+    for points, eta in cases:
+        for criterion in (remark44_is_mds, theorem42_is_mds):
+            with pytest.raises(ValueError):
+                criterion(f7, points, 3, *eta)
+    for eta in ((-1, 1), (7, 1), (1, -1)):
+        with pytest.raises(ValueError, match="nonzero field element"):
+            MultiTwistedCode(f7, TwistProfile(3, (1, 2), (0, 1), eta), range(5))
+
+
+def test_four_way_agreement_sampled_prime_powers():
+    # seeded codes over GF(8), GF(9), GF(16), GF(25) and GF(27) with
+    # 2 <= k <= 5 and n <= k + 3; half of the eta pairs are drawn at a zero
+    # of some k-subset's closed form, so that each field yields both verdicts
+    rng = random.Random(29)
+    for q in (8, 9, 16, 25, 27):
+        ctx = Field.of_order(q)
+        seen = set()
+        for draw in range(100):
+            k = rng.randint(2, 5)
+            n = rng.randint(k + 2, min(k + 3, q))
+            alpha = tuple(rng.sample(range(q), n))
+            eta1, eta2 = rng.randrange(1, q), rng.randrange(1, q)
+            while draw % 2:
+                eta1, vals = rng.randrange(1, q), rng.sample(alpha, k)
+                zeros = [e for e in range(1, q) if remark44_expression(ctx, vals, k, eta1, e) == 0]
+                if zeros:
+                    eta2 = rng.choice(zeros)
+                    break
+            code = MultiTwistedCode(ctx, TwistProfile(k, (1, 2), (0, 1), (eta1, eta2)), alpha)
+            bf = is_mds_bruteforce(LinearCodeView.of_code(code)).is_mds
+            t31 = theorem31_is_mds(code).is_mds
+            r44 = remark44_is_mds(ctx, alpha, k, eta1, eta2).is_mds
+            t42 = theorem42_is_mds(ctx, alpha, k, eta1, eta2).is_mds
+            assert bf == t31 == r44 == t42, (q, alpha, k, eta1, eta2, bf, t31, r44, t42)
+            seen.add(bf)
+        assert seen == {True, False}, q

@@ -96,11 +96,12 @@ def test_kernel_tables_match_scalar_field(q):
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16, 17, 25, 27])
 def test_class_table_matches_scalar_expression(q):
-    # every (u, v) class and eta1: the nonzero eta2 the table marks bad are
+    # every (u, v) class and eta1: the nonzero eta2 the table marks bad, with
+    # the whole rows the count fills at v = -u != 0 and eta1 = 1/u, are
     # exactly the zeros of 1 - u*eta1 + v*eta2 + u^2*eta1*eta2
     ctx = Field.of_order(q)
-    bad_eta2, dead = _kernel(q).classes
-    assert bad_eta2.shape == dead.shape == (q * q, q - 1)
+    bad_eta2 = _kernel(q).classes
+    assert bad_eta2.shape == (q * q, q - 1)
     for u in range(q):
         for h1 in range(1, q):
             const = ctx.sub(ctx.one, ctx.mul(u, h1))
@@ -112,20 +113,26 @@ def test_class_table_matches_scalar_expression(q):
                     for h2 in range(1, q)
                     if ctx.add(const, ctx.add(ctx.mul(v, h2), ctx.mul(cross, h2))) == 0
                 }
-                marked = {int(bad_eta2[row, col])} | (set(range(1, q)) if dead[row, col] else set())
+                whole = u != 0 and v == ctx.neg(u) and h1 == ctx.inv(u)
+                assert (zeros == set(range(1, q))) == whole
+                marked = {int(bad_eta2[row, col])} | (set(range(1, q)) if whole else set())
                 assert marked - {0} == zeros
-                assert dead[row, col] == (u != 0 and v == ctx.neg(u) and h1 == ctx.inv(u))
 
 
 @pytest.mark.parametrize("q", [9, 25, 27, 49, 8, 16, 32])
 def test_set_counts_match_scalar_oracle(q):
-    # seeded random evaluation sets, half of them holding 0, against a count
-    # of the eta pairs the scalar closed form calls MDS
+    # seeded random evaluation sets, one holding 0 at a middle position and
+    # one without 0, against a count of the eta pairs the scalar closed form
+    # calls MDS; the kernel takes a set's points in any order
     ctx = Field.of_order(q)
     rng = random.Random(q)
-    for k in (2, 3, 4):
+    for k in (2, 3, 4, 5, 6) if q <= 16 else (2, 3, 4):
         n = k + 2
-        sets = [sorted(rng.sample(range(1, q), n - 1) + [0]), sorted(rng.sample(range(1, q), n))]
+        holding = sorted(rng.sample(range(1, q), n - 1))
+        holding.insert(n // 2, 0)
+        sets = [holding]
+        if n < q:  # GF(8) has only 7 nonzero points
+            sets.append(sorted(rng.sample(range(1, q), n)))
         tallies = _remark44_set_counts(_kernel(q), n, k, np.array(sets, _kernel(q).dtype))
         oracle = [
             sum(

@@ -100,7 +100,7 @@ def test_odd_example_hull(f81):
 
 def test_hull_correspondence_random_codes():
     rng = random.Random(97)
-    for q in (4, 5, 7):
+    for q in (4, 5, 7, 9, 25, 27):
         ctx = Field.of_order(q)
         for _ in range(70):
             n = rng.randint(3, min(q, 7))
