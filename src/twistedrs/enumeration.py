@@ -14,14 +14,19 @@ its bad eta pairs depend only on its class (u, v) in GF(q)^2.  The bad
 eta2 of every class and eta1 are tabulated once per field; a set then
 marks the table rows of the classes its subsets hit, instead of testing
 all (q-1)^2 pairs, and fills the whole eta2 row at eta1 = 1/u of each
-class with v = -u != 0, where the expression is 0 for every eta2.
+class with v = -u != 0, where the expression is 0 for every eta2.  The
+k-subsets come in lexicographic chunks of 64, and after each chunk a set
+whose (q-1)^2 pairs are all bad leaves the batch with tally 0, so a set
+that counts 0 usually costs a fraction of its subsets.
 
 It also runs once per orbit of evaluation sets under the group of maps
 x -> c * x^(p^j) (c nonzero, 0 <= j < m).  Such a map scales the
 coefficients (u, v) of every k-subset by (c^k, c^k) (after applying the
 field automorphism), so it maps the bad eta pairs of a set one-to-one
 onto those of its image and every set in an orbit has the same tally.
-Translations x -> x + b are not symmetries of the count.
+The representatives and orbit sizes of each (q, n) are built once per
+process, and the total weights each representative's tally by its orbit
+size.  Translations x -> x + b are not symmetries of the count.
 
 numpy is imported inside the functions that use it, so importing this
 module, as the package and the CLI do, does not load numpy.
@@ -197,12 +202,6 @@ def _kernel(q: int) -> _FieldKernel:
     return _FieldKernel(q)
 
 
-@cache
-def _subset_indices(n: int, k: int) -> np.ndarray:
-    import numpy as np
-    return np.array(list(itertools.combinations(range(n), k)), np.intp)
-
-
 def _all_sets(kern: _FieldKernel, n: int) -> np.ndarray:
     """Every n-subset of GF(q), sorted rows in lexicographic order."""
     import numpy as np
@@ -210,47 +209,97 @@ def _all_sets(kern: _FieldKernel, n: int) -> np.ndarray:
     return np.fromiter(flat, kern.dtype, comb(kern.q, n) * n).reshape(-1, n)
 
 
+@cache
+def _orbit_reps(q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, sizes): one n-subset of GF(q) per orbit under the maps
+    x -> c * x^(p^j), in the order of kern.orbits, and the size of each
+    orbit.  Built once per (q, n); neither array has C(q, n) rows, and
+    both are read-only because every caller shares them."""
+    import numpy as np
+    kern = _kernel(q)
+    sets = _all_sets(kern, n)
+    first, inverse = kern.orbits(sets)
+    reps, sizes = sets[first], np.bincount(inverse)
+    reps.setflags(write=False)
+    sizes.setflags(write=False)
+    return reps, sizes
+
+
+# k-subsets per step of the count: after each step a set whose bad grid is
+# full leaves the batch.  Chunks of 256 and a shuffled subset order were
+# both slower at q = 19.
+_SUBSET_CHUNK = 64
+
+
 def _remark44_set_counts(kern: _FieldKernel, n: int, k: int, sets_arr: np.ndarray) -> np.ndarray:
     """Per-evaluation-set tally of eta pairs passing the closed form.
 
-    sets_arr has shape (B, n); returns a (B,) int64 vector.
+    sets_arr has shape (B, n); returns a (B,) int64 vector.  The k-subsets
+    of the n positions come in lexicographic chunks of _SUBSET_CHUNK.
+    After each chunk but the last, a set all of whose (q-1)^2 pairs are
+    bad leaves the batch with tally 0, which is exact, since later subsets
+    can only mark more pairs bad.
     """
     import numpy as np
     add, mul, neg, inv = kern.tables
     q = kern.q
-    bsz = sets_arr.shape[0]
-    idx = _subset_indices(n, k)
-    vals = sets_arr[:, idx]  # (B, S, k)
-
-    # e_1, e_{m-1} and e_m of the first m values; appending a value x makes
-    # them e_1 + x, e_m + x*e_{m-1} and e_m*x (from m = 1, where e_0 = 1)
-    e1 = ek = vals[:, :, 0]
-    ekm1 = 1
-    for j in range(1, k):
-        x = vals[:, :, j]
-        e1, ekm1, ek = add[e1, x], add[ek, mul[ekm1, x]], mul[ek, x]
-
     sign_k = kern.field.sign(k)
-    u = mul[sign_k][ek]  # coefficient of eta1
-    v = mul[sign_k][add[mul[ekm1, e1], neg[ek]]]  # coefficient of eta2
+    n_sub = comb(n, k)
+    cells = (q - 1) * q
+    # bad (eta1, eta2) pairs of each live set, row eta1 - 1; column
+    # eta2 = 0 lies outside the counted grid and starts bad, so a set's
+    # grid is full exactly when all its cells are True
+    grid = np.zeros((len(sets_arr), q - 1, q), bool)
+    grid[:, :, 0] = True
+    sets, live = sets_arr, np.arange(len(sets_arr))
+    subsets = itertools.combinations(range(n), k)
+    for start in range(0, n_sub, _SUBSET_CHUNK):
+        size = min(_SUBSET_CHUNK, n_sub - start)
+        idx = np.fromiter(
+            itertools.chain.from_iterable(itertools.islice(subsets, size)), np.intp, size * k
+        ).reshape(size, k)
+        vals = sets[:, idx]  # (B, size, k)
 
-    # each (set, class) pair once; int32 indices suffice, as a batch's grid
-    # has fewer than 2^31 cells, and numpy reads them without an intp copy
-    hit = np.zeros((bsz, q * q), bool)
-    hit[np.arange(bsz)[:, None], u.astype(np.int32) * q + v] = True
-    si, cls = np.nonzero(hit)
-    grid = np.zeros((bsz, q - 1, q), bool)  # bad (eta1, eta2) pairs, row eta1 - 1
-    # flat grid index of (set, eta1, bad eta2)
-    flat = (si * (q - 1)).astype(np.int32)[:, None] + np.arange(q - 1, dtype=np.int32)
-    flat *= q
-    flat += kern.classes[cls]
-    grid.reshape(-1)[flat] = True
-    # the whole eta2 row is bad, slope and constant both 0, exactly where
-    # v = -u != 0 and eta1 = 1/u
-    cu, cv = np.divmod(cls, q)
-    row = (cv == neg[cu]) & (cu != 0)
-    grid[si[row], inv[cu[row]] - 1, 1:] = True
-    return (q - 1) ** 2 - grid[:, :, 1:].sum(axis=(1, 2))
+        # e_1, e_{m-1} and e_m of the first m values; appending a value x
+        # makes them e_1 + x, e_m + x*e_{m-1} and e_m*x (from m = 1, where
+        # e_0 = 1)
+        e1 = ek = vals[:, :, 0]
+        ekm1 = 1
+        for j in range(1, k):
+            x = vals[:, :, j]
+            e1, ekm1, ek = add[e1, x], add[ek, mul[ekm1, x]], mul[ek, x]
+
+        u = mul[sign_k][ek]  # coefficient of eta1
+        v = mul[sign_k][add[mul[ekm1, e1], neg[ek]]]  # coefficient of eta2
+
+        # each (set, class) pair once; int32 indices suffice, as a batch's
+        # grid has fewer than 2^31 cells, and numpy reads them without an
+        # intp copy
+        bsz = len(sets)
+        hit = np.zeros((bsz, q * q), bool)
+        hit[np.arange(bsz)[:, None], u.astype(np.int32) * q + v] = True
+        si, cls = np.nonzero(hit)
+        # flat grid index of (set, eta1, bad eta2)
+        flat = (si * (q - 1)).astype(np.int32)[:, None] + np.arange(q - 1, dtype=np.int32)
+        flat *= q
+        flat += kern.classes[cls]
+        grid.reshape(-1)[flat] = True
+        # the whole eta2 row is bad, slope and constant both 0, exactly
+        # where v = -u != 0 and eta1 = 1/u
+        cu, cv = np.divmod(cls, q)
+        row = (cv == neg[cu]) & (cu != 0)
+        grid[si[row], inv[cu[row]] - 1, 1:] = True
+
+        if start + size < n_sub:
+            full = grid.reshape(bsz, cells).all(axis=1)
+            if full.any():
+                keep = ~full
+                grid, sets, live = grid[keep], sets[keep], live[keep]
+                if not len(live):
+                    break
+    tallies = np.zeros(len(sets_arr), np.int64)
+    tallies[live] = cells - grid.reshape(-1, cells).sum(axis=1)
+    return tallies
 
 
 def _bruteforce_set_count(ctx: Field, n: int, k: int, subset) -> int:
@@ -273,10 +322,10 @@ def _count_chunk(args) -> np.ndarray:
     if criterion == "bruteforce":
         ctx = kern.field
         return np.array([_bruteforce_set_count(ctx, n, k, s) for s in chunk.tolist()], np.int64)
-    sk = comb(n, k)
-    # keep the (B, S, k) value tensor, the (B, q*q) class presence and bad
-    # pair arrays and the (pairs, q-1) scatter index small; a set hits at
-    # most min(S, q*q) classes
+    sk = min(_SUBSET_CHUNK, comb(n, k))
+    # keep one chunk's (B, S, k) value tensor, the (B, q*q) class presence
+    # and bad pair arrays and the (pairs, q-1) scatter index small; a set
+    # hits at most min(S, q*q) classes in one chunk
     batch = max(
         1,
         min(4_000_000 // (sk * k), 8_000_000 // (q * q), 1_000_000 // (min(sk, q * q) * (q - 1))),
@@ -293,7 +342,9 @@ def count_mds_double_twisted(
     double-twisted code with twists (1, 2) and hooks (0, 1).
 
     The closed form runs on one representative per orbit of evaluation
-    sets; the brute-force oracle runs on every set."""
+    sets and weights each tally by its orbit's size; with histogram it
+    copies each tally back to every set of the orbit instead.  The
+    brute-force oracle runs on every set."""
     import numpy as np
     if task.cost > budget:
         raise BudgetExceededError(
@@ -301,12 +352,15 @@ def count_mds_double_twisted(
         )
     start = time.perf_counter()
     kern = _kernel(task.q)
-    sets = _all_sets(kern, task.n)
-    if task.criterion == "remark44":
+    sets = inverse = sizes = None
+    if task.criterion == "bruteforce":
+        work = sets = _all_sets(kern, task.n)
+    elif histogram:
+        sets = _all_sets(kern, task.n)
         first, inverse = kern.orbits(sets)
         work = sets[first]
     else:
-        work, inverse = sets, None
+        work, sizes = _orbit_reps(task.q, task.n)
     workers = min(task.workers, len(work))
     bounds = [round(i * len(work) / workers) for i in range(workers + 1)]
     jobs = [
@@ -321,7 +375,7 @@ def count_mds_double_twisted(
     tallies = np.concatenate(parts)
     if inverse is not None:
         tallies = tallies[inverse]
-    total = int(tallies.sum())
+    total = int(tallies.sum() if sizes is None else tallies @ sizes)
     per_set = dict(zip(map(tuple, sets.tolist()), tallies.tolist())) if histogram else None
     assert total <= comb(task.q, task.n) * (task.q - 1) ** 2
     return EnumResult(

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -19,8 +20,10 @@ from twistedrs.criteria import remark44_is_mds, theorem42_is_mds
 from twistedrs.enumeration import (
     EnumTask,
     SearchHit,
+    _SUBSET_CHUNK,
     _all_sets,
     _kernel,
+    _orbit_reps,
     _remark44_set_counts,
     count_mds_double_twisted,
     search_mds,
@@ -145,9 +148,69 @@ def test_set_counts_match_scalar_oracle(q):
         assert tallies.tolist() == oracle
 
 
+def _first_bad_ranks(ctx, alpha, k):
+    """For each eta pair, the lexicographic rank among the k-subsets of
+    positions of the first one the scalar closed form calls bad, or None
+    when the code is MDS."""
+    rank = {s: i for i, s in enumerate(itertools.combinations(range(len(alpha)), k))}
+    return {
+        (eta1, eta2): None if verdict.is_mds else rank[verdict.witness]
+        for eta1 in range(1, ctx.q)
+        for eta2 in range(1, ctx.q)
+        for verdict in [remark44_is_mds(ctx, alpha, k, eta1, eta2)]
+    }
+
+
+@pytest.mark.parametrize(
+    "q,n,k,sets",
+    [
+        (
+            13, 9, 4,  # 2 chunks
+            [
+                (0, 1, 2, 3, 5, 8, 10, 11, 12),
+                (1, 2, 3, 4, 0, 5, 9, 10, 11),
+                (0, 1, 3, 4, 5, 6, 8, 9, 12),
+            ],
+        ),
+        (
+            16, 10, 5,  # 4 chunks
+            [
+                (1, 2, 3, 7, 8, 10, 11, 12, 13, 15),
+                (2, 3, 4, 5, 6, 0, 7, 8, 12, 13),
+                (1, 2, 4, 5, 7, 10, 12, 13, 14, 15),
+            ],
+        ),
+    ],
+)
+def test_saturation_exit_matches_scalar_oracle(q, n, k, sets):
+    # One batch over several subset chunks: a set with a nonzero tally and a
+    # whole bad eta1 row after the first chunk, a tally-0 set (0 at a middle
+    # position) whose grid is full after the first chunk and so leaves the
+    # batch, and a tally-0 set that some pair keeps alive past that chunk.
+    ctx = Field.of_order(q)
+    assert comb(n, k) > _SUBSET_CHUNK
+    ranks = [_first_bad_ranks(ctx, alpha, k) for alpha in sets]
+    oracle = [sum(r is None for r in rk.values()) for rk in ranks]
+    nonzero, full, late = ranks
+
+    def bad_in_first_chunk(rk, pairs):
+        return all(rk[p] is not None and rk[p] < _SUBSET_CHUNK for p in pairs)
+
+    assert oracle[0] > 0 and any(
+        bad_in_first_chunk(nonzero, [(eta1, eta2) for eta2 in range(1, q)]) for eta1 in range(1, q)
+    )
+    assert oracle[1] == 0 and bad_in_first_chunk(full, full)
+    assert oracle[2] == 0 and not bad_in_first_chunk(late, late)
+    tallies = _remark44_set_counts(_kernel(q), n, k, np.array(sets, _kernel(q).dtype))
+    assert tallies.tolist() == oracle
+
+
 @pytest.mark.parametrize(
     "q,n,k",
-    [(7, 5, 3), (9, 6, 3), (8, 6, 2), (11, 6, 4), (16, 7, 3), (25, 4, 2), (27, 4, 2), (64, 63, 2)],
+    [
+        (7, 5, 3), (9, 6, 3), (8, 6, 2), (11, 6, 4), (13, 9, 4), (16, 7, 3), (16, 10, 5),
+        (25, 4, 2), (27, 4, 2), (64, 63, 2),
+    ],
 )
 def test_orbit_reduced_count_matches_every_set(q, n, k):
     kern = _kernel(q)
@@ -156,6 +219,9 @@ def test_orbit_reduced_count_matches_every_set(q, n, k):
     res = count_mds_double_twisted(EnumTask(q, n, k), histogram=True)
     assert res.per_set == dict(zip(map(tuple, sets.tolist()), unreduced.tolist()))
     assert res.total_count == int(unreduced.sum())
+    # without the histogram each representative's tally is weighted by the
+    # size of its orbit
+    assert count_mds_double_twisted(EnumTask(q, n, k)).total_count == res.total_count
 
 
 @pytest.mark.parametrize(
@@ -164,9 +230,17 @@ def test_orbit_reduced_count_matches_every_set(q, n, k):
 )
 def test_orbit_counts(q, n, orbits):
     kern = _kernel(q)
-    first, inverse = kern.orbits(_all_sets(kern, n))
+    sets = _all_sets(kern, n)
+    first, inverse = kern.orbits(sets)
     assert len(first) == orbits
     assert (inverse[first] == range(orbits)).all()
+    reps, sizes = cached = _orbit_reps(q, n)
+    assert (reps == sets[first]).all()
+    assert sizes.tolist() == np.bincount(inverse).tolist()
+    assert int(sizes.sum()) == comb(q, n)
+    assert all(a is b for a, b in zip(_orbit_reps(q, n), cached))
+    # the cache keeps one row per orbit, never one per set
+    assert all(len(a) == orbits < comb(q, n) and not a.flags.writeable for a in cached)
 
 
 def test_translation_changes_tallies():
