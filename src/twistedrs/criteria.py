@@ -9,13 +9,16 @@ test in codes.py:
 * a guaranteed construction from a proper chain of subfields,
 * for the double-twist layout t = (1, 2), h = (0, 1): closed-form
   exclusion conditions on (eta1, eta2) and an equivalent single
-  determinant-like expression per k-subset.
+  determinant-like expression per k-subset, which depends on the subset
+  only through its class (u, v), so one alpha's classes decide all its
+  eta pairs.
 """
 
 from __future__ import annotations
 
 import itertools
 from math import comb
+from typing import Iterator
 
 from .codes import (
     BudgetExceededError,
@@ -200,14 +203,42 @@ def forbidden_eta_sets(ctx: Field, alpha, k: int, eta2: FieldElement):
     return frozenset(eta1_excl - {None}), frozenset(eta2_excl - {None})
 
 
-def remark44_expression(ctx: Field, values, k: int, eta1, eta2) -> FieldElement:
-    """1 - eta1 (-1)^k e_k + eta2 (-1)^k (e_{k-1} e_1 - e_k) + eta1 eta2 e_k^2
-    for one k-subset of evaluation values (zeros allowed)."""
+def remark44_class(ctx: Field, values, k: int) -> tuple[FieldElement, FieldElement]:
+    """(u, v) = ((-1)^k e_k, (-1)^k (e_{k-1} e_1 - e_k)) for one k-subset of
+    evaluation values (zeros allowed).  Its closed form
+    1 - u eta1 + v eta2 + u^2 eta1 eta2 depends on this class alone."""
     e = elem_sym(ctx, values)
     sign_k = ctx.sign(k)
-    out = ctx.sub(ctx.one, ctx.mul(eta1, ctx.mul(sign_k, e[k])))
-    out = ctx.add(out, ctx.mul(eta2, ctx.mul(sign_k, ctx.sub(ctx.mul(e[k - 1], e[1]), e[k]))))
-    return ctx.add(out, ctx.mul(ctx.mul(eta1, eta2), ctx.mul(e[k], e[k])))
+    return ctx.mul(sign_k, e[k]), ctx.mul(sign_k, ctx.sub(ctx.mul(e[k - 1], e[1]), e[k]))
+
+
+def remark44_expression(ctx: Field, values, k: int, eta1, eta2) -> FieldElement:
+    """1 - eta1 (-1)^k e_k + eta2 (-1)^k (e_{k-1} e_1 - e_k) + eta1 eta2 e_k^2
+    for one k-subset of evaluation values (zeros allowed), read off its
+    class (u, v) as (1 - u eta1) + eta2 (v + u^2 eta1)."""
+    u, v = remark44_class(ctx, values, k)
+    const = ctx.sub(ctx.one, ctx.mul(u, eta1))
+    return ctx.add(const, ctx.mul(eta2, ctx.add(v, ctx.mul(ctx.mul(u, u), eta1))))
+
+
+def remark44_bad_eta2(ctx: Field, classes, eta1) -> set[FieldElement]:
+    """The nonzero eta2 at which the closed form of some (u, v) class in
+    classes vanishes at eta1.
+
+    The form is const + eta2 * slope with const = 1 - u eta1 and
+    slope = v + u^2 eta1: a nonzero slope makes one eta2 bad,
+    -const / slope (outside the grid when it is 0), and a class whose
+    slope and const are both 0 makes every eta2 bad."""
+    bad = set()
+    for u, v in classes:
+        const = ctx.sub(ctx.one, ctx.mul(u, eta1))
+        slope = ctx.add(v, ctx.mul(ctx.mul(u, u), eta1))
+        if slope:
+            bad.add(ctx.neg(ctx.div(const, slope)))
+        elif const == 0:
+            return set(range(1, ctx.q))
+    bad.discard(0)
+    return bad
 
 
 def _double_twist_points(ctx: Field, alpha, k: int, eta1, eta2) -> tuple[FieldElement, ...]:
@@ -227,6 +258,23 @@ def remark44_is_mds(ctx: Field, alpha, k: int, eta1, eta2) -> MdsVerdict:
         if remark44_expression(ctx, [alpha[i] for i in subset], k, eta1, eta2) == 0:
             return MdsVerdict(False, "remark44", subset)
     return MdsVerdict(True, "remark44")
+
+
+def remark44_mds_etas(ctx: Field, alpha, k: int) -> Iterator[tuple[FieldElement, FieldElement]]:
+    """Every (eta1, eta2) of nonzero elements whose code on alpha is MDS, in
+    lexicographic order: the pairs remark44_is_mds accepts.  The classes of
+    alpha's k-subsets are computed once, and each eta1 row keeps the eta2
+    that no class makes bad."""
+    alpha = _double_twist_points(ctx, alpha, k, ctx.one, ctx.one)
+    classes = {
+        remark44_class(ctx, [alpha[i] for i in subset], k)
+        for subset in itertools.combinations(range(len(alpha)), k)
+    }
+    for eta1 in range(1, ctx.q):
+        bad = remark44_bad_eta2(ctx, classes, eta1)
+        for eta2 in range(1, ctx.q):
+            if eta2 not in bad:
+                yield eta1, eta2
 
 
 def theorem42_is_mds(ctx: Field, alpha, k: int, eta1, eta2) -> MdsVerdict:

@@ -51,7 +51,7 @@ from .codes import (
     check_eval_vector,
     is_mds_bruteforce,
 )
-from .criteria import DOUBLE_TWIST, remark44_is_mds, theorem31_is_mds
+from .criteria import DOUBLE_TWIST, remark44_is_mds, remark44_mds_etas, theorem31_is_mds
 from .field import Field, FieldSpec
 
 ENUM_BUDGET = 10**9
@@ -414,6 +414,9 @@ def search_mds(
     draws seeded (alpha, eta) pairs.  Each pair of the double-twist layout
     is decided by the Remark 4.4 closed form, any other layout by the
     Theorem 3.1 subset system, and the hit carries that method's name.
+    The exhaustive double-twist walk decides a whole eta2 row per eta1 from
+    the (u, v) classes of each alpha (remark44_mds_etas); a random draw
+    decides its one pair with remark44_is_mds.
     """
     t, h = tuple(t), tuple(h)
     ell = len(t)
@@ -437,6 +440,10 @@ def search_mds(
     if strategy == "exhaustive":
         alphas = [alpha] if alpha is not None else itertools.combinations(range(ctx.q), n)
         for al in alphas:
+            if special:
+                for eta in remark44_mds_etas(ctx, al, k):
+                    yield SearchHit(al, eta, "remark44")
+                continue
             for eta in itertools.product(range(1, ctx.q), repeat=ell):
                 method = check(al, eta)
                 if method:

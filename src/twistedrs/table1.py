@@ -41,7 +41,7 @@ def regenerate_order(q: int, workers: int = 1, budget: int = ENUM_BUDGET) -> dic
     in_budget, skipped = cells_for(q, budget)
     cells = []
     for n, k in in_budget:
-        res = count_mds_double_twisted(EnumTask(q, n, k, "remark44", workers))
+        res = count_mds_double_twisted(EnumTask(q, n, k, "remark44", workers), budget=budget)
         cells.append({"n": n, "k": k, "count": res.total_count})
     return {
         "q": q,

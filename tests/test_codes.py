@@ -215,6 +215,7 @@ def test_example_5_6_distance_budget_and_true_value(f81):
             best = size
             break
     assert view.n - best == 5  # the claimed d = 7 is not attained
+    assert min_distance_bruteforce(view, budget=81**4) == 5  # 6643 prefixes, 81 messages each
     assert not is_mds_bruteforce(view).is_mds
 
 
@@ -249,6 +250,85 @@ def test_budget_guard(f16):
         min_distance_bruteforce(view, budget=10)
     with pytest.raises(BudgetExceededError):
         is_mds_bruteforce(view, budget=2)
+
+
+def _message_scan_min_distance(view):
+    """The literal scan: the least weight of the q^k - 1 nonzero codewords,
+    each built from its message."""
+    ctx = view.ctx
+    rows = view.g.data
+    best = view.n + 1
+    for msg in itertools.product(range(ctx.q), repeat=view.k):
+        word = None
+        for coef, row in zip(msg, rows):
+            if coef == 0:
+                continue
+            term = row if coef == ctx.one else [ctx.mul(coef, x) for x in row]
+            word = term if word is None else [ctx.add(a, b) for a, b in zip(word, term)]
+        if word is None:
+            continue
+        w = sum(1 for c in word if c)
+        if w < best:
+            best = w
+            if best == 1:
+                break
+    return best
+
+
+LINE_SCAN_SHAPES = (
+    "dense", "zero column", "repeated columns", "sparse last row", "sparse middle row",
+    "weight-1 row", "reed-solomon",
+)
+
+
+def _shaped_generator(ctx, rng, n, k, shape):
+    """A random full-rank k x n generator of the given shape."""
+    q = ctx.q
+    if shape == "reed-solomon":  # d = n - k + 1
+        alpha = rng.sample(range(q), n)
+        return generator_matrix(MultiTwistedCode(ctx, TwistProfile(k), alpha))
+    while True:
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        if shape == "zero column":
+            for row in rows:
+                row[rng.randrange(n)] = 0
+        elif shape == "repeated columns":
+            j, l = rng.sample(range(n), 2)
+            for row in rows:
+                row[j] = row[l]
+        elif shape in ("sparse last row", "sparse middle row"):
+            i = k - 1 if shape == "sparse last row" else k // 2
+            rows[i] = [x if rng.random() < 0.3 else 0 for x in rows[i]]
+        elif shape == "weight-1 row":  # d = 1
+            i = rng.randrange(k)
+            rows[i] = [0] * n
+            rows[i][rng.randrange(n)] = rng.randrange(1, q)
+        g = Matrix(ctx, rows)
+        if g.rank() == k:
+            return g
+
+
+def test_min_distance_matches_message_scan():
+    # the line scan against the literal scan of every message, on seeded
+    # generators of each shape over GF(4) to GF(27) with 1 <= k <= 4
+    rng = random.Random(83)
+    seen = set()
+    for q in (4, 5, 7, 8, 9, 16, 25, 27):
+        ctx = Field.of_order(q)
+        for k in range(1, 5):
+            if q**k > 4096:
+                break
+            for shape in LINE_SCAN_SHAPES:
+                if shape == "reed-solomon" and k >= q:
+                    continue  # needs n > k distinct points
+                n = rng.randint(k + 1, min(q, k + 4) if shape == "reed-solomon" else k + 4)
+                view = LinearCodeView(_shaped_generator(ctx, rng, n, k, shape))
+                d = min_distance_bruteforce(view)
+                assert d == _message_scan_min_distance(view), (q, k, shape, view.g.data)
+                seen.add((shape, d == 1, d == n - k + 1))
+    assert ("weight-1 row", True, False) in seen
+    assert ("reed-solomon", False, True) in seen
+    assert any(not one and not mds for _, one, mds in seen)
 
 
 # -- dual and hull ---------------------------------------------------------------

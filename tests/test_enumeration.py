@@ -16,7 +16,13 @@ from twistedrs.codes import (
     TwistProfile,
     is_mds_bruteforce,
 )
-from twistedrs.criteria import remark44_is_mds, theorem42_is_mds
+from twistedrs import table1
+from twistedrs.criteria import (
+    remark44_bad_eta2,
+    remark44_class,
+    remark44_is_mds,
+    theorem42_is_mds,
+)
 from twistedrs.enumeration import (
     EnumTask,
     SearchHit,
@@ -83,6 +89,20 @@ def test_spawned_workers_match_one_worker(monkeypatch):
     assert res.per_set == base.per_set
 
 
+def test_regenerate_order_passes_budget_to_counts(monkeypatch):
+    seen = []
+    real = table1.count_mds_double_twisted
+
+    def spy(task, **kw):
+        seen.append(kw.get("budget"))
+        return real(task, **kw)
+
+    monkeypatch.setattr(table1, "count_mds_double_twisted", spy)
+    doc = table1.regenerate_order(5, budget=10**12)
+    assert doc["budget"] == 10**12
+    assert seen and set(seen) == {10**12}
+
+
 # -- kernel context and orbit reduction ------------------------------------------
 
 
@@ -120,6 +140,25 @@ def test_class_table_matches_scalar_expression(q):
                 assert (zeros == set(range(1, q))) == whole
                 marked = {int(bad_eta2[row, col])} | (set(range(1, q)) if whole else set())
                 assert marked - {0} == zeros
+
+
+@pytest.mark.parametrize("q", [4, 7, 8, 9, 16, 17])
+def test_bad_eta2_rule_matches_class_table(q):
+    # the scalar per-eta1 rule of each (u, v) class against the kernel's
+    # table and its whole-row rule (v = -u != 0 at eta1 = 1/u)
+    ctx = Field.of_order(q)
+    kern = _kernel(q)
+    _, _, neg, inv = kern.tables
+    table = kern.classes
+    every = set(range(1, q))
+    for u in range(q):
+        for v in range(q):
+            whole_row = u != 0 and v == neg[u]
+            for eta1 in range(1, q):
+                expect = {int(table[u * q + v, eta1 - 1])} - {0}
+                if whole_row and eta1 == inv[u]:
+                    expect = every
+                assert remark44_bad_eta2(ctx, [(u, v)], eta1) == expect
 
 
 @pytest.mark.parametrize("q", [9, 25, 27, 49, 8, 16, 32])
@@ -270,6 +309,48 @@ def test_search_pruned_equals_unpruned(f7):
     golden = load_golden(str(Path(__file__).resolve().parent.parent / "goldens" / "table1"), 7)
     (cell,) = [c["count"] for c in golden["cells"] if (c["n"], c["k"]) == (5, 3)]
     assert len(hits) == cell == count_mds_double_twisted(EnumTask(7, 5, 3)).total_count == 186
+
+
+def _with_whole_row_class(ctx, rng, n):
+    """n distinct points holding a 3-subset x, y, -(x + y) of nonzero points,
+    whose e_1 = 0 gives the class v = -u != 0."""
+    while True:
+        x, y = rng.sample(range(1, ctx.q), 2)
+        z = ctx.neg(ctx.add(x, y))
+        if z not in (0, x, y):
+            break
+    rest = [a for a in range(ctx.q) if a not in (x, y, z)]
+    return tuple(rng.sample(rest, n - 3)) + (x, y, z)
+
+
+@pytest.mark.parametrize("q", [8, 9, 16, 17, 25])
+def test_fixed_alpha_search_matches_per_pair_verdicts(q):
+    # the exhaustive search from each alpha's (u, v) classes yields exactly
+    # the pairs remark44_is_mds calls MDS, in order, for alpha with 0, alpha
+    # without 0 and alpha with a class whose whole eta2 row is bad
+    ctx = Field.of_order(q)
+    rng = random.Random(q)
+    n, k = 6, 3
+    with_zero = tuple(rng.sample(range(1, q), n - 1)) + (0,)
+    without_zero = tuple(rng.sample(range(1, q), n))
+    whole = _with_whole_row_class(ctx, rng, n)
+    classes = {
+        remark44_class(ctx, [whole[i] for i in s], k) for s in itertools.combinations(range(n), k)
+    }
+    row_eta1 = {ctx.inv(u) for u, v in classes if u and v == ctx.neg(u)}
+    assert row_eta1
+    for alpha in (with_zero, without_zero, whole):
+        hits = list(search_mds(ctx, n, k, alpha=alpha))
+        assert all(hit.alpha == alpha and hit.method == "remark44" for hit in hits)
+        expect = [
+            (eta1, eta2)
+            for eta1 in range(1, q)
+            for eta2 in range(1, q)
+            if remark44_is_mds(ctx, alpha, k, eta1, eta2).is_mds
+        ]
+        assert [hit.eta for hit in hits] == expect
+        if alpha == whole:
+            assert not any(eta1 in row_eta1 for eta1, _ in expect)
 
 
 def test_search_uses_both_methods(f7):
