@@ -244,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(fn=_cmd_check_mds)
 
-    p = sub.add_parser("min-distance", help="exact minimum distance by message scan")
+    p = sub.add_parser("min-distance", help="exact minimum distance by line scan")
     _add_code_flags(p)
     p.add_argument("--budget", type=int, default=10**7)
     p.set_defaults(fn=_cmd_min_distance)

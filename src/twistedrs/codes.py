@@ -16,9 +16,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from dataclasses import dataclass
 from math import comb
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .field import Field, FieldElement
 from .linalg import Matrix, row_space_intersection
@@ -35,33 +34,35 @@ class BudgetExceededError(RuntimeError):
 DEFAULT_SCAN_BUDGET = 10**7
 
 
-@dataclass(frozen=True)
-class TwistProfile:
-    """Twist/hook data (k, t, h, eta); ell = 0 means a plain RS profile."""
-
+class _TwistProfile(NamedTuple):
     k: int
     t: tuple[int, ...] = ()
     h: tuple[int, ...] = ()
     eta: tuple[FieldElement, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "t", tuple(self.t))
-        object.__setattr__(self, "h", tuple(self.h))
-        object.__setattr__(self, "eta", tuple(self.eta))
-        if self.k < 1:
+
+class TwistProfile(_TwistProfile):
+    """Twist/hook data (k, t, h, eta); ell = 0 means a plain RS profile."""
+
+    __slots__ = ()
+
+    def __new__(cls, k: int, t=(), h=(), eta=()):
+        t, h, eta = tuple(t), tuple(h), tuple(eta)
+        if k < 1:
             raise ValueError("dimension parameter k must be >= 1")
-        if not (len(self.t) == len(self.h) == len(self.eta)):
+        if not (len(t) == len(h) == len(eta)):
             raise ValueError("t, h, eta must have equal length")
-        if any(self.t[i] >= self.t[i + 1] for i in range(len(self.t) - 1)):
+        if any(t[i] >= t[i + 1] for i in range(len(t) - 1)):
             raise ValueError("twists must be strictly increasing")
-        if self.t and self.t[0] < 1:
+        if t and t[0] < 1:
             raise ValueError("twists must be >= 1")
-        if any(self.h[i] >= self.h[i + 1] for i in range(len(self.h) - 1)):
+        if any(h[i] >= h[i + 1] for i in range(len(h) - 1)):
             raise ValueError("hooks must be strictly increasing")
-        if self.h and not (0 <= self.h[0] and self.h[-1] <= self.k - 1):
+        if h and not (0 <= h[0] and h[-1] <= k - 1):
             raise ValueError("hooks must satisfy 0 <= h_1 < ... < h_ell <= k-1")
-        if any(e == 0 for e in self.eta):
+        if any(e == 0 for e in eta):
             raise ValueError("every eta_i must be nonzero")
+        return super().__new__(cls, k, t, h, eta)
 
     @property
     def ell(self) -> int:
@@ -83,20 +84,24 @@ def check_eval_vector(ctx: Field, alpha) -> tuple[FieldElement, ...]:
     return alpha
 
 
-@dataclass(frozen=True)
-class MultiTwistedCode:
+class _MultiTwistedCode(NamedTuple):
     ctx: Field
     profile: TwistProfile
     alpha: tuple[FieldElement, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "alpha", check_eval_vector(self.ctx, self.alpha))
-        if any(not 0 < e < self.ctx.q for e in self.profile.eta):
+
+class MultiTwistedCode(_MultiTwistedCode):
+    __slots__ = ()
+
+    def __new__(cls, ctx: Field, profile: TwistProfile, alpha):
+        alpha = check_eval_vector(ctx, alpha)
+        if any(not 0 < e < ctx.q for e in profile.eta):
             raise ValueError("every eta_i must be a nonzero field element")
-        if self.profile.k >= self.n:
+        if profile.k >= len(alpha):
             raise ValueError("need k < n")
-        if self.profile.max_degree >= self.n:
+        if profile.max_degree >= len(alpha):
             raise ValueError("degree bound violated: need k-1+t_ell < n")
+        return super().__new__(cls, ctx, profile, alpha)
 
     @property
     def n(self) -> int:
@@ -166,8 +171,7 @@ class LinearCodeView:
         return self.g.ctx
 
 
-@dataclass(frozen=True)
-class MdsVerdict:
+class MdsVerdict(NamedTuple):
     is_mds: bool
     method: str  # bruteforce | theorem31 | remark44 | theorem42
     witness: Optional[tuple[int, ...]] = None  # failing column subset, if any
@@ -187,13 +191,12 @@ def min_distance_bruteforce(view: LinearCodeView, budget: int = DEFAULT_SCAN_BUD
     least weight over all q values of c is n minus those always-zero
     positions minus the largest number of positions sharing one c.  That is
     O(n) per prefix, and there are (q^(k-1) - 1)/(q - 1) prefixes.  The
-    budget still counts the q^k messages the lines cover.
+    budget counts the steps taken: those prefixes and the last row's line.
     """
     ctx = view.ctx
-    if ctx.q**view.k > budget:
-        raise BudgetExceededError(
-            f"{ctx.q}^{view.k} messages exceed the scan budget {budget}"
-        )
+    lines = 1 + (ctx.q ** (view.k - 1) - 1) // (ctx.q - 1)
+    if lines > budget:
+        raise BudgetExceededError(f"{lines} lines of messages exceed the scan budget {budget}")
     best = view.n + 1
     for w in _line_weights(ctx, view.g.data):
         if w < best:

@@ -28,20 +28,20 @@ The representatives and orbit sizes of each (q, n) are built once per
 process, and the total weights each representative's tally by its orbit
 size.  Translations x -> x + b are not symmetries of the count.
 
-numpy is imported inside the functions that use it, so importing this
-module, as the package and the CLI do, does not load numpy.
+numpy is imported inside the functions that use it, and multiprocessing
+only where a count starts its worker pool, so importing this module, as
+the package and the CLI do, loads neither.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
 import random
 import time
-from dataclasses import dataclass
 from functools import cache, cached_property
 from math import comb
-from multiprocessing import get_all_start_methods, get_context
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .codes import (
     BudgetExceededError,
@@ -58,40 +58,43 @@ ENUM_BUDGET = 10**9
 
 # start method of the counting pool: fork shares the parent's kernel cache,
 # spawn is the portable fallback
-_START_METHOD = "fork" if "fork" in get_all_start_methods() else "spawn"
+_START_METHOD = "fork" if hasattr(os, "fork") else "spawn"
 
 
-@dataclass(frozen=True)
-class EnumTask:
+class _EnumTask(NamedTuple):
     q: int
     n: int
     k: int
     criterion: str = "remark44"
     workers: int = 1
 
-    def __post_init__(self):
-        _kernel(self.q)  # q must be a prime power <= 2^16
-        if self.criterion not in ("remark44", "bruteforce"):
-            raise ValueError(f"unknown criterion {self.criterion!r}")
-        if self.k < 2:
+
+class EnumTask(_EnumTask):
+    __slots__ = ()
+
+    def __new__(cls, q: int, n: int, k: int, criterion: str = "remark44", workers: int = 1):
+        _kernel(q)  # q must be a prime power <= 2^16
+        if criterion not in ("remark44", "bruteforce"):
+            raise ValueError(f"unknown criterion {criterion!r}")
+        if k < 2:
             raise ValueError("double-twist layout needs k >= 2 (hooks 0 and 1)")
-        if self.n < self.k + 2:
+        if n < k + 2:
             raise ValueError(
-                f"invalid (n, k) = ({self.n}, {self.k}): the twisted degree "
+                f"invalid (n, k) = ({n}, {k}): the twisted degree "
                 f"k+1 must stay below n, so n >= k + 2"
             )
-        if self.n > self.q:
+        if n > q:
             raise ValueError("n cannot exceed the field size")
-        if self.workers < 1:
+        if workers < 1:
             raise ValueError("workers must be >= 1")
+        return super().__new__(cls, q, n, k, criterion, workers)
 
     @property
     def cost(self) -> int:
         return comb(self.q, self.n) * (self.q - 1) ** 2 * comb(self.n, self.k)
 
 
-@dataclass
-class EnumResult:
+class EnumResult(NamedTuple):
     total_count: int
     criterion: str
     elapsed: float
@@ -370,6 +373,7 @@ def count_mds_double_twisted(
     if workers == 1:
         parts = [_count_chunk(jobs[0])]
     else:
+        from multiprocessing import get_context
         with get_context(_START_METHOD).Pool(workers) as pool:
             parts = pool.map(_count_chunk, jobs)
     tallies = np.concatenate(parts)
@@ -389,8 +393,7 @@ def count_mds_double_twisted(
 # -- parameter search ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SearchHit:
+class SearchHit(NamedTuple):
     alpha: tuple[int, ...]
     eta: tuple[int, ...]
     method: str

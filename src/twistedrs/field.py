@@ -16,8 +16,9 @@ workloads in this package lean on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from functools import cache, reduce
+from typing import NamedTuple
 
 
 FieldElement = int  # index encoding, see module docstring
@@ -115,30 +116,37 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
     raise ValueError(f"no irreducible polynomial of degree {m} over GF({p})")
 
 
-@dataclass(frozen=True)
-class FieldSpec:
-    """Construction recipe for GF(p^m): prime p, degree m, monic modulus
-    of degree m given low-to-high."""
-
+# The package's records are NamedTuples rather than dataclasses, whose import
+# costs a cold CLI start more than its own work.  A record that validates its
+# fields does so in the __new__ of a subclass; _make and _replace bypass that
+# __new__, so the package never calls them on such a record.
+class _FieldSpec(NamedTuple):
     p: int
     m: int
     modulus: tuple[int, ...]
 
-    def __post_init__(self):
-        if not _is_prime(self.p):
-            raise ValueError(f"characteristic {self.p} is not prime")
-        if self.m < 1:
+
+class FieldSpec(_FieldSpec):
+    """Construction recipe for GF(p^m): prime p, degree m, monic modulus
+    of degree m given low-to-high."""
+
+    __slots__ = ()
+
+    def __new__(cls, p: int, m: int, modulus: tuple[int, ...]):
+        if not _is_prime(p):
+            raise ValueError(f"characteristic {p} is not prime")
+        if m < 1:
             raise ValueError("extension degree must be >= 1")
-        if self.q > 65536:
-            raise ValueError(f"field order {self.q} exceeds the 2^16 cap")
-        mod = tuple(int(c) for c in self.modulus)
-        if len(mod) != self.m + 1 or mod[-1] != 1:
+        if p**m > 65536:
+            raise ValueError(f"field order {p**m} exceeds the 2^16 cap")
+        mod = tuple(int(c) for c in modulus)
+        if len(mod) != m + 1 or mod[-1] != 1:
             raise ValueError("modulus must be monic of degree m")
-        if any(not 0 <= c < self.p for c in mod):
+        if any(not 0 <= c < p for c in mod):
             raise ValueError("modulus coefficients must lie in [0, p)")
-        object.__setattr__(self, "modulus", mod)
-        if not is_irreducible(mod, self.p):
-            raise ValueError(f"modulus {mod} is reducible over GF({self.p})")
+        if not is_irreducible(mod, p):
+            raise ValueError(f"modulus {mod} is reducible over GF({p})")
+        return super().__new__(cls, p, m, mod)
 
     @property
     def q(self) -> int:
@@ -276,7 +284,7 @@ class Field:
         basis = [self._mul_schoolbook(p**j, self.gamma) for j in range(m)]
         low, high = self._span(basis[:h]), self._span(basis[h:])
         split = p**h
-        add = self.add
+        add = operator.xor if p == 2 else self.add  # xor skips a method call per step
         exp = [0] * n
         log = [-1] * self.q
         x = self.one
@@ -284,7 +292,7 @@ class Field:
             exp[i] = x
             log[x] = i
             x = add(low[x % split], high[x // split])
-        if x != self.one or any(v < 0 for v in log[1:]):
+        if x != self.one or -1 in log[1:]:
             raise ValueError("primitive element does not generate the field")
         self._exp = exp + exp  # two periods, so mul needs no reduction
         self._log = log

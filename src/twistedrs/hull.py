@@ -15,7 +15,7 @@ a [2k, k] code when q is even, a [2k, k-1] code when q is odd.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .codes import LinearCodeView, MultiTwistedCode, TwistProfile
 from .field import Field, FieldElement
@@ -52,8 +52,7 @@ def subgroup_eval(ctx: Field, k: int) -> tuple[FieldElement, ...]:
     return alpha
 
 
-@dataclass(frozen=True)
-class HullReport:
+class HullReport(NamedTuple):
     code_dim: int
     gram_rank: int
     hull_dim: int
@@ -154,8 +153,7 @@ def construct_odd(ctx: Field, k: int, t, h, eta) -> MultiTwistedCode:
     return MultiTwistedCode(ctx, shifted, subgroup_eval(ctx, k))
 
 
-@dataclass(frozen=True)
-class GramParts:
+class GramParts(NamedTuple):
     """G G^T split along the proof's block decomposition."""
 
     a_one: Matrix  # A_1 A_1^T

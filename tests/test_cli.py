@@ -222,22 +222,31 @@ def test_field_flags_p_m_modulus(capsys):
     assert [v["method"] for v in doc["verdicts"]] == ["theorem31"]
 
 
-def test_cli_import_leaves_numpy_unloaded():
+def _fresh_python(code: str) -> str:
+    """Stdout of code run in a new interpreter that imports this package."""
     src = str(Path(twistedrs.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, twistedrs, twistedrs.cli; print('numpy' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
     )
-    assert proc.stdout.strip() == "False"
+    return proc.stdout.strip()
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    assert _fresh_python("import sys, twistedrs, twistedrs.cli; print('numpy' in sys.modules)") == "False"
+
+
+def test_cli_import_leaves_dataclasses_and_multiprocessing_unloaded():
+    """Neither module serves a CLI command, and each costs a cold start
+    about 14 ms to import; multiprocessing loads when a pool starts."""
+    code = "import sys, twistedrs, twistedrs.cli; print(sorted({'dataclasses', 'multiprocessing'} & set(sys.modules)))"
+    assert _fresh_python(code) == "[]"
 
 
 def test_bench_tracer_targets_resolve_after_cli_import():
     """Every (module, attribute) the benchmark's tracer wraps is loaded by
     `import twistedrs.cli` alone, so a traced CLI run can install it."""
-    src = str(Path(twistedrs.__file__).resolve().parents[1])
     trace = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = f"""
 import importlib.util, sys
 import twistedrs.cli
@@ -256,7 +265,4 @@ tracer.install()
 tracer.uninstall()
 print(missing)
 """
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
-    )
-    assert proc.stdout.strip() == "[]"
+    assert _fresh_python(code) == "[]"

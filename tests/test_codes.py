@@ -204,7 +204,7 @@ def test_example_5_6_distance_budget_and_true_value(f81):
     code = construct_odd(f81, 5, (1, 2), (2, 3), (f81.parse("a^3 + a^2"), f81.parse("a")))
     view = LinearCodeView.of_code(code)
     with pytest.raises(BudgetExceededError):
-        min_distance_bruteforce(view)  # 81^4 messages is over the default budget
+        min_distance_bruteforce(view, budget=6643)  # one step short of its 6644 lines
     # independent oracle: d = n - max{|S| : rank(G_S) < k} by zero-set scan
     best = 0
     for size in range(view.n - 1, 0, -1):
@@ -215,7 +215,7 @@ def test_example_5_6_distance_budget_and_true_value(f81):
             best = size
             break
     assert view.n - best == 5  # the claimed d = 7 is not attained
-    assert min_distance_bruteforce(view, budget=81**4) == 5  # 6643 prefixes, 81 messages each
+    assert min_distance_bruteforce(view) == 5  # 6643 prefixes and the last row's line
     assert not is_mds_bruteforce(view).is_mds
 
 

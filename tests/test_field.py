@@ -229,6 +229,7 @@ def _check_walk(ctx, indices):
     for i in indices:
         assert ctx._exp[i + 1] == oracle_mul(ctx.p, ctx.modulus, ctx._exp[i], ctx.gamma)
     assert all(ctx._log[ctx._exp[i]] == i for i in range(ctx.q - 1))
+    assert all(ctx._exp[ctx._log[x]] == x for x in range(1, ctx.q))
 
 
 @pytest.mark.parametrize("q", SMALL_PRIME_POWERS + [2, 3, 7, 17, 1021])
