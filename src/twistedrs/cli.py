@@ -27,7 +27,7 @@ from .criteria import (
     theorem31_is_mds,
     theorem42_is_mds,
 )
-from .enumeration import EnumTask, count_mds_double_twisted, search_mds
+from .enumeration import EnumTask, _kernel, count_mds_double_twisted, search_mds
 from .field import Field, FieldSpec, default_modulus
 from .hull import construct_even, construct_odd, hull_report
 from .profiles import load_profile, matrix_to_doc, profile_to_doc
@@ -177,19 +177,19 @@ def _cmd_subfield_construct(args) -> dict:
 
 
 def _cmd_enumerate(args) -> dict:
-    task = EnumTask(args.q, args.n, args.k, args.criterion, args.workers)
+    task = EnumTask(args.q, args.n, args.k, args.criterion)
     res = count_mds_double_twisted(task, histogram=args.histogram)
     doc = {
         "q": args.q,
         "n": args.n,
         "k": args.k,
         "criterion": res.criterion,
-        "workers": args.workers,
+        "workers": 1,  # counts run in one process; the key keeps the document's shape
         "count": res.total_count,
         "elapsed": round(res.elapsed, 6),
     }
     if res.per_set is not None:
-        ctx = Field.of_order(args.q)
+        ctx = _kernel(args.q).field  # built by the count
         doc["per_set"] = {
             ",".join(ctx.format(x) for x in key): val for key, val in res.per_set.items()
         }
@@ -277,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--criterion", default="remark44", choices=["remark44", "bruteforce"])
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--histogram", action="store_true", help="include per-evaluation-set counts")
     p.set_defaults(fn=_cmd_enumerate)
 

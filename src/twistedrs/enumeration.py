@@ -4,9 +4,8 @@ The counting loop follows the reference semantics exactly: unordered
 n-subsets of the whole field as evaluation sets, ordered pairs (eta1,
 eta2) of nonzero elements, and a pair counts iff the closed-form
 expression is nonzero on every k-subset of the evaluation set.  Counts
-are invariant under the worker split because the per-set tallies are
-summed, and invariant under criterion choice (closed form vs constructing
-each code and brute-forcing it) for every in-budget task.
+are invariant under criterion choice (closed form vs constructing each
+code and brute-forcing it) for every in-budget task.
 
 The closed-form path is vectorized with numpy lookup tables.  The
 expression of one k-subset is 1 - u*eta1 + v*eta2 + u^2*eta1*eta2, so
@@ -28,15 +27,13 @@ The representatives and orbit sizes of each (q, n) are built once per
 process, and the total weights each representative's tally by its orbit
 size.  Translations x -> x + b are not symmetries of the count.
 
-numpy is imported inside the functions that use it, and multiprocessing
-only where a count starts its worker pool, so importing this module, as
-the package and the CLI do, loads neither.
+numpy is imported inside the functions that use it, so importing this
+module, as the package and the CLI do, does not load it.
 """
 
 from __future__ import annotations
 
 import itertools
-import os
 import random
 import time
 from functools import cache, cached_property
@@ -56,20 +53,21 @@ from .field import Field, FieldSpec
 
 ENUM_BUDGET = 10**9
 
-# start method of the counting pool: fork shares the parent's kernel cache,
-# spawn is the portable fallback
-_START_METHOD = "fork" if hasattr(os, "fork") else "spawn"
-
 
 class _EnumTask(NamedTuple):
     q: int
     n: int
     k: int
     criterion: str = "remark44"
-    workers: int = 1
 
 
 class EnumTask(_EnumTask):
+    """One count: GF(q), length n, dimension k and the criterion.
+
+    Counts run in one process.  The trailing workers parameter is kept only
+    because the benchmark builds EnumTask(q, n, k, "remark44", 1)
+    positionally; any value but 1 is rejected, and it is not stored."""
+
     __slots__ = ()
 
     def __new__(cls, q: int, n: int, k: int, criterion: str = "remark44", workers: int = 1):
@@ -85,9 +83,9 @@ class EnumTask(_EnumTask):
             )
         if n > q:
             raise ValueError("n cannot exceed the field size")
-        if workers < 1:
-            raise ValueError("workers must be >= 1")
-        return super().__new__(cls, q, n, k, criterion, workers)
+        if workers != 1:
+            raise ValueError("counts run in one process: workers must be 1")
+        return super().__new__(cls, q, n, k, criterion)
 
     @property
     def cost(self) -> int:
@@ -317,14 +315,13 @@ def _bruteforce_set_count(ctx: Field, n: int, k: int, subset) -> int:
     return count
 
 
-def _count_chunk(args) -> np.ndarray:
-    """Per-set tallies for one chunk of evaluation sets."""
+def _count_chunk(kern: _FieldKernel, n: int, k: int, criterion: str, sets: np.ndarray) -> np.ndarray:
+    """Per-set tallies for the rows of sets."""
     import numpy as np
-    q, n, k, criterion, chunk = args
-    kern = _kernel(q)
+    q = kern.q
     if criterion == "bruteforce":
         ctx = kern.field
-        return np.array([_bruteforce_set_count(ctx, n, k, s) for s in chunk.tolist()], np.int64)
+        return np.array([_bruteforce_set_count(ctx, n, k, s) for s in sets.tolist()], np.int64)
     sk = min(_SUBSET_CHUNK, comb(n, k))
     # keep one chunk's (B, S, k) value tensor, the (B, q*q) class presence
     # and bad pair arrays and the (pairs, q-1) scatter index small; a set
@@ -334,7 +331,7 @@ def _count_chunk(args) -> np.ndarray:
         min(4_000_000 // (sk * k), 8_000_000 // (q * q), 1_000_000 // (min(sk, q * q) * (q - 1))),
     )
     return np.concatenate(
-        [_remark44_set_counts(kern, n, k, chunk[i : i + batch]) for i in range(0, len(chunk), batch)]
+        [_remark44_set_counts(kern, n, k, sets[i : i + batch]) for i in range(0, len(sets), batch)]
     )
 
 
@@ -348,7 +345,6 @@ def count_mds_double_twisted(
     sets and weights each tally by its orbit's size; with histogram it
     copies each tally back to every set of the orbit instead.  The
     brute-force oracle runs on every set."""
-    import numpy as np
     if task.cost > budget:
         raise BudgetExceededError(
             f"task cost {task.cost} exceeds the enumeration budget {budget}"
@@ -364,19 +360,7 @@ def count_mds_double_twisted(
         work = sets[first]
     else:
         work, sizes = _orbit_reps(task.q, task.n)
-    workers = min(task.workers, len(work))
-    bounds = [round(i * len(work) / workers) for i in range(workers + 1)]
-    jobs = [
-        (task.q, task.n, task.k, task.criterion, work[bounds[i] : bounds[i + 1]])
-        for i in range(workers)
-    ]
-    if workers == 1:
-        parts = [_count_chunk(jobs[0])]
-    else:
-        from multiprocessing import get_context
-        with get_context(_START_METHOD).Pool(workers) as pool:
-            parts = pool.map(_count_chunk, jobs)
-    tallies = np.concatenate(parts)
+    tallies = _count_chunk(kern, task.n, task.k, task.criterion, work)
     if inverse is not None:
         tallies = tallies[inverse]
     total = int(tallies.sum() if sizes is None else tallies @ sizes)

@@ -170,9 +170,9 @@ class FieldSpec(_FieldSpec):
 class Field:
     """A concrete GF(p^m) with log/antilog tables.
 
-    Immutable after construction; one instance can be shared freely across
-    workers.  All operations are pure functions of (field, operands).  The
-    state is plain ints and lists, so an instance pickles.
+    Immutable after construction.  All operations are pure functions of
+    (field, operands).  The state is plain ints and lists, so an instance
+    pickles.
     """
 
     def __init__(self, spec: FieldSpec):

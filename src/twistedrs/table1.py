@@ -7,7 +7,6 @@ entry, keyed explicitly by the triple.  Out-of-budget cells are listed
 under "skipped" with their cost.
 
 Run as a module:  python -m twistedrs.table1 --out goldens/table1
-(one worker, the default, is fastest: the pool starts once per cell)
 """
 
 from __future__ import annotations
@@ -36,12 +35,12 @@ def cells_for(q: int, budget: int = ENUM_BUDGET):
     return in_budget, skipped
 
 
-def regenerate_order(q: int, workers: int = 1, budget: int = ENUM_BUDGET) -> dict:
+def regenerate_order(q: int, budget: int = ENUM_BUDGET) -> dict:
     spec = FieldSpec.of_order(q)
     in_budget, skipped = cells_for(q, budget)
     cells = []
     for n, k in in_budget:
-        res = count_mds_double_twisted(EnumTask(q, n, k, "remark44", workers), budget=budget)
+        res = count_mds_double_twisted(EnumTask(q, n, k), budget=budget)
         cells.append({"n": n, "k": k, "count": res.total_count})
     return {
         "q": q,
@@ -53,12 +52,12 @@ def regenerate_order(q: int, workers: int = 1, budget: int = ENUM_BUDGET) -> dic
     }
 
 
-def write_goldens(out_dir: str, workers: int = 1, orders=FIELD_ORDERS, budget: int = ENUM_BUDGET):
+def write_goldens(out_dir: str, orders=FIELD_ORDERS, budget: int = ENUM_BUDGET):
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for q in orders:
         started = time.perf_counter()
-        doc = regenerate_order(q, workers, budget)
+        doc = regenerate_order(q, budget)
         doc["elapsed"] = round(time.perf_counter() - started, 3)
         path = os.path.join(out_dir, f"table1_q{q}.json")
         with open(path, "w", encoding="utf-8") as fh:
@@ -76,11 +75,10 @@ def load_golden(out_dir: str, q: int) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="regenerate the MDS double-twisted count goldens")
     ap.add_argument("--out", default="goldens/table1")
-    ap.add_argument("--workers", type=int, default=1)
     ap.add_argument("--orders", default=",".join(str(q) for q in FIELD_ORDERS))
     args = ap.parse_args(argv)
     orders = tuple(int(x) for x in args.orders.split(","))
-    for path in write_goldens(args.out, args.workers, orders):
+    for path in write_goldens(args.out, orders):
         print(path)
     return 0
 

@@ -9,8 +9,10 @@ from pathlib import Path
 import pytest
 
 import twistedrs
+from twistedrs import table1
 from twistedrs.cli import cli_main
-from twistedrs.enumeration import EnumTask, count_mds_double_twisted
+from twistedrs.enumeration import EnumTask, _kernel, count_mds_double_twisted
+from twistedrs.field import Field
 
 
 EX32_PROFILE = {
@@ -132,6 +134,31 @@ def test_enumerate_histogram(capsys):
     assert sum(doc["per_set"].values()) == doc["count"]
 
 
+def test_enumerate_histogram_formats_keys_with_the_counts_field(capsys, monkeypatch):
+    _kernel(5).field  # the count's cached field, built before the call
+    built = []
+    init = Field.__init__
+
+    def counting_init(self, spec):
+        built.append(spec)
+        init(self, spec)
+
+    monkeypatch.setattr(Field, "__init__", counting_init)
+    code, doc = run(capsys, "enumerate", "--q", "5", "--n", "4", "--k", "2", "--histogram")
+    assert code == 0 and len(doc["per_set"]) == 5
+    assert built == []
+
+
+def test_workers_flag_is_a_usage_error(capsys, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["enumerate", "--q", "5", "--n", "4", "--k", "2", "--workers", "2"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        table1.main(["--out", str(tmp_path), "--orders", "4", "--workers", "2"])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_search_limit(capsys):
     code, doc = run(capsys, "search", "--q", "7", "--n", "5", "--k", "3", "--limit", "7")
     assert code == 0
@@ -238,7 +265,8 @@ def test_cli_import_leaves_numpy_unloaded():
 
 def test_cli_import_leaves_dataclasses_and_multiprocessing_unloaded():
     """Neither module serves a CLI command, and each costs a cold start
-    about 14 ms to import; multiprocessing loads when a pool starts."""
+    about 14 ms to import; no module of the package imports
+    multiprocessing."""
     code = "import sys, twistedrs, twistedrs.cli; print(sorted({'dataclasses', 'multiprocessing'} & set(sys.modules)))"
     assert _fresh_python(code) == "[]"
 

@@ -1,4 +1,4 @@
-"""Counting loop semantics, worker determinism, and the parameter search."""
+"""Counting loop semantics and the parameter search."""
 
 import itertools
 import random
@@ -8,7 +8,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from twistedrs import enumeration
 from twistedrs.codes import (
     BudgetExceededError,
     LinearCodeView,
@@ -72,21 +71,6 @@ def test_count_upper_bound_and_histogram():
     assert len(res.per_set) == 5  # C(5, 4) evaluation sets
     assert sum(res.per_set.values()) == res.total_count
     assert all(0 <= c <= 16 for c in res.per_set.values())
-
-
-def test_worker_determinism():
-    base = count_mds_double_twisted(EnumTask(7, 5, 3, "remark44", workers=1), histogram=True)
-    for w in (2, 8):
-        res = count_mds_double_twisted(EnumTask(7, 5, 3, "remark44", workers=w), histogram=True)
-        assert res.total_count == base.total_count
-        assert res.per_set == base.per_set
-
-
-def test_spawned_workers_match_one_worker(monkeypatch):
-    base = count_mds_double_twisted(EnumTask(7, 5, 3), histogram=True)
-    monkeypatch.setattr(enumeration, "_START_METHOD", "spawn")
-    res = count_mds_double_twisted(EnumTask(7, 5, 3, workers=2), histogram=True)
-    assert res.per_set == base.per_set
 
 
 def test_regenerate_order_passes_budget_to_counts(monkeypatch):

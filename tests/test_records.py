@@ -38,8 +38,8 @@ def _records(f7):
          "MdsVerdict(is_mds=False, method='bruteforce', witness=(0, 1))"),
         (SearchHit(alpha=(0, 1), eta=(1, 1), method="remark44"),
          "SearchHit(alpha=(0, 1), eta=(1, 1), method='remark44')"),
-        (EnumTask(q=7, n=5, k=3, criterion="bruteforce", workers=2),
-         "EnumTask(q=7, n=5, k=3, criterion='bruteforce', workers=2)"),
+        (EnumTask(q=7, n=5, k=3, criterion="bruteforce"),
+         "EnumTask(q=7, n=5, k=3, criterion='bruteforce')"),
         (EnumResult(total_count=186, criterion="remark44", elapsed=0.5),
          "EnumResult(total_count=186, criterion='remark44', elapsed=0.5, per_set=None)"),
         (HullReport(code_dim=1, gram_rank=1, hull_dim=0, gram=one, hull_basis=one),
@@ -67,7 +67,8 @@ def test_record_defaults():
     assert MdsVerdict(True, "theorem31").witness is None
     assert bool(MdsVerdict(True, "theorem31")) and not MdsVerdict(False, "theorem31", (0, 1))
     task = EnumTask(7, 5, 3)
-    assert (task.criterion, task.workers) == ("remark44", 1)
+    assert task.criterion == "remark44"
+    assert EnumTask(7, 5, 3, "remark44", 1) == EnumTask(7, 5, 3)
     assert task.cost == 21 * 36 * 10
     assert EnumResult(0, "remark44", 0.0).per_set is None
     assert FieldSpec.of_order(81).q == 81
@@ -76,7 +77,7 @@ def test_record_defaults():
 def test_records_pickle(f16):
     profile = TwistProfile(3, (1, 2), (0, 1), (f16.parse("a^3 + a^2"), 1))
     code = MultiTwistedCode(f16, profile, (0, 4, 3, 6, 11))
-    for rec in (f16.spec, profile, code, EnumTask(16, 6, 3, "remark44", 2), f16):
+    for rec in (f16.spec, profile, code, EnumTask(16, 6, 3, "remark44"), f16):
         back = pickle.loads(pickle.dumps(rec))
         assert back == rec and type(back) is type(rec)
     assert back._exp == f16._exp and back._log == f16._log  # the Field, last
@@ -145,4 +146,8 @@ def test_enum_task_rules():
         lambda: EnumTask(7, 4, 3),
     )
     _rejects("n cannot exceed the field size", lambda: EnumTask(7, 8, 3))
-    _rejects("workers must be >= 1", lambda: EnumTask(7, 5, 3, "remark44", 0))
+    for workers in (2, 0):
+        _rejects(
+            "counts run in one process: workers must be 1",
+            lambda: EnumTask(7, 5, 3, "remark44", workers),
+        )
