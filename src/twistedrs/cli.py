@@ -28,7 +28,7 @@ from .criteria import (
     theorem42_is_mds,
 )
 from .enumeration import EnumTask, _kernel, count_mds_double_twisted, search_mds
-from .field import Field, FieldSpec, default_modulus
+from .field import Field
 from .hull import construct_even, construct_odd, hull_report
 from .profiles import load_profile, matrix_to_doc, profile_to_doc
 
@@ -38,13 +38,9 @@ def _ints(text: str) -> tuple[int, ...]:
 
 
 def _field_from_args(args) -> Field:
-    if args.q is not None:
-        mod = _ints(args.modulus) if args.modulus else None
-        return Field.of_order(args.q, mod)
-    if args.p is None or args.m is None:
-        raise ValueError("give either --q or --p/--m (optionally --modulus)")
-    mod = _ints(args.modulus) if args.modulus else default_modulus(args.p, args.m)
-    return Field(FieldSpec(args.p, args.m, mod))
+    if args.q is None:
+        raise ValueError("give --q (optionally --modulus)")
+    return Field.of_order(args.q, _ints(args.modulus) if args.modulus else None)
 
 
 def _code_from_args(args) -> MultiTwistedCode:
@@ -55,17 +51,15 @@ def _code_from_args(args) -> MultiTwistedCode:
         raise ValueError("without --profile, --alpha and --k are required")
     profile = TwistProfile(
         args.k,
-        _ints(args.t) if args.t else (),
-        _ints(args.h) if args.h else (),
+        _ints(args.t),
+        _ints(args.h),
         ctx.parse_vector(args.eta.split(",")) if args.eta else (),
     )
     return MultiTwistedCode(ctx, profile, ctx.parse_vector(args.alpha.split(",")))
 
 
 def _add_field_flags(p):
-    p.add_argument("--q", type=int, help="field order (uses the default modulus)")
-    p.add_argument("--p", type=int, help="characteristic")
-    p.add_argument("--m", type=int, help="extension degree")
+    p.add_argument("--q", type=int, help="field order (default modulus unless --modulus is given)")
     p.add_argument("--modulus", help="modulus coefficients c0,c1,...,cm (low to high)")
 
 
@@ -206,8 +200,8 @@ def _cmd_search(args) -> dict:
         ctx,
         args.n,
         args.k,
-        _ints(args.t) if args.t else (1, 2),
-        _ints(args.h) if args.h else (0, 1),
+        _ints(args.t),
+        _ints(args.h),
         strategy=args.strategy,
         alpha=alpha,
         seed=args.seed,
@@ -233,7 +227,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="compact single-line JSON output")
-    sub = ap.add_subparsers(dest="command", required=True, parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], **kw))
+    # no prefix matching: a removed flag such as --p is a usage error, not --profile
+    sub = ap.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=lambda **kw: argparse.ArgumentParser(parents=[common], allow_abbrev=False, **kw),
+    )
 
     p = sub.add_parser("check-mds", help="decide MDS-ness of a code")
     _add_code_flags(p)
@@ -284,8 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_field_flags(p)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", help="twists, default 1,2")
-    p.add_argument("--h", help="hooks, default 0,1")
+    p.add_argument("--t", default="1,2", help="comma-separated twists (\"\" for none)")
+    p.add_argument("--h", default="0,1", help="comma-separated hooks (\"\" for none)")
     p.add_argument("--alpha", help="fix the evaluation vector")
     p.add_argument("--strategy", default="exhaustive", choices=["exhaustive", "random"])
     p.add_argument("--seed", type=int, default=0)

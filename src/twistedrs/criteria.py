@@ -26,7 +26,6 @@ from .codes import (
     MdsVerdict,
     MultiTwistedCode,
     TwistProfile,
-    check_eval_vector,
 )
 from .field import Field, FieldElement
 from .linalg import Matrix
@@ -206,19 +205,18 @@ def forbidden_eta_sets(ctx: Field, alpha, k: int, eta2: FieldElement):
 def remark44_class(ctx: Field, values, k: int) -> tuple[FieldElement, FieldElement]:
     """(u, v) = ((-1)^k e_k, (-1)^k (e_{k-1} e_1 - e_k)) for one k-subset of
     evaluation values (zeros allowed).  Its closed form
-    1 - u eta1 + v eta2 + u^2 eta1 eta2 depends on this class alone."""
-    e = elem_sym(ctx, values)
+    1 - u eta1 + v eta2 + u^2 eta1 eta2 depends on this class alone.
+
+    e_1, e_{k-1} and e_k come from one pass, by the recurrence the count
+    kernel's _remark44_set_counts uses: appending x to m values turns their
+    e_1, e_{m-1} and e_m into e_1 + x, e_m + x e_{m-1} and e_m x (from
+    m = 1, where e_0 = 1)."""
+    e1 = ek = values[0]
+    ekm1 = ctx.one
+    for x in values[1:]:
+        e1, ekm1, ek = ctx.add(e1, x), ctx.add(ek, ctx.mul(ekm1, x)), ctx.mul(ek, x)
     sign_k = ctx.sign(k)
-    return ctx.mul(sign_k, e[k]), ctx.mul(sign_k, ctx.sub(ctx.mul(e[k - 1], e[1]), e[k]))
-
-
-def remark44_expression(ctx: Field, values, k: int, eta1, eta2) -> FieldElement:
-    """1 - eta1 (-1)^k e_k + eta2 (-1)^k (e_{k-1} e_1 - e_k) + eta1 eta2 e_k^2
-    for one k-subset of evaluation values (zeros allowed), read off its
-    class (u, v) as (1 - u eta1) + eta2 (v + u^2 eta1)."""
-    u, v = remark44_class(ctx, values, k)
-    const = ctx.sub(ctx.one, ctx.mul(u, eta1))
-    return ctx.add(const, ctx.mul(eta2, ctx.add(v, ctx.mul(ctx.mul(u, u), eta1))))
+    return ctx.mul(sign_k, ek), ctx.mul(sign_k, ctx.sub(ctx.mul(ekm1, e1), ek))
 
 
 def remark44_bad_eta2(ctx: Field, classes, eta1) -> set[FieldElement]:
@@ -242,20 +240,19 @@ def remark44_bad_eta2(ctx: Field, classes, eta1) -> set[FieldElement]:
 
 
 def _double_twist_points(ctx: Field, alpha, k: int, eta1, eta2) -> tuple[FieldElement, ...]:
-    """alpha as a tuple of distinct field points, once 2 <= k < n and eta1,
-    eta2 are checked to be nonzero field elements."""
-    alpha = check_eval_vector(ctx, alpha)
-    if not (0 < eta1 < ctx.q and 0 < eta2 < ctx.q and 2 <= k < len(alpha)):
-        raise ValueError("need nonzero field elements eta1, eta2 and 2 <= k < n")
-    return alpha
+    """alpha as a tuple of field points, once the double-twist code with
+    (eta1, eta2) on it passes the records' checks."""
+    return MultiTwistedCode(ctx, TwistProfile(k, *DOUBLE_TWIST, (eta1, eta2)), alpha).alpha
 
 
 def remark44_is_mds(ctx: Field, alpha, k: int, eta1, eta2) -> MdsVerdict:
-    """MDS iff the expression is nonzero for every k-subset of evaluation
-    points (subsets may contain zero)."""
+    """MDS iff the closed form is nonzero for every k-subset of evaluation
+    points (subsets may contain zero): eta2 is not among the bad eta2 that
+    remark44_bad_eta2 gives for the subset's class at eta1."""
     alpha = _double_twist_points(ctx, alpha, k, eta1, eta2)
     for subset in itertools.combinations(range(len(alpha)), k):
-        if remark44_expression(ctx, [alpha[i] for i in subset], k, eta1, eta2) == 0:
+        cls = remark44_class(ctx, [alpha[i] for i in subset], k)
+        if eta2 in remark44_bad_eta2(ctx, [cls], eta1):
             return MdsVerdict(False, "remark44", subset)
     return MdsVerdict(True, "remark44")
 

@@ -45,7 +45,6 @@ from .codes import (
     LinearCodeView,
     MultiTwistedCode,
     TwistProfile,
-    check_eval_vector,
     is_mds_bruteforce,
 )
 from .criteria import DOUBLE_TWIST, remark44_is_mds, remark44_mds_etas, theorem31_is_mds
@@ -307,9 +306,7 @@ def _bruteforce_set_count(ctx: Field, n: int, k: int, subset) -> int:
     count = 0
     for eta1 in range(1, ctx.q):
         for eta2 in range(1, ctx.q):
-            code = MultiTwistedCode(
-                ctx, TwistProfile(k, (1, 2), (0, 1), (eta1, eta2)), subset
-            )
+            code = MultiTwistedCode(ctx, TwistProfile(k, *DOUBLE_TWIST, (eta1, eta2)), subset)
             if is_mds_bruteforce(LinearCodeView.of_code(code)).is_mds:
                 count += 1
     return count
@@ -407,15 +404,13 @@ def search_mds(
     """
     t, h = tuple(t), tuple(h)
     ell = len(t)
-    TwistProfile(k, t, h, (ctx.one,) * ell)  # validate shape early
-    if not k < n <= ctx.q:
-        raise ValueError("need k < n <= q")
-    if k - 1 + (t[-1] if t else 0) >= n:
-        raise ValueError("degree bound violated: need k-1+t_ell < n")
     if alpha is not None:
-        alpha = check_eval_vector(ctx, alpha)
+        alpha = tuple(alpha)
         if len(alpha) != n:
             raise ValueError("fixed alpha must have length n")
+    # range(n) stands in for the free points, so that the record checks
+    # k < n <= q and the degree bound as it does for a fixed alpha
+    MultiTwistedCode(ctx, TwistProfile(k, t, h, (ctx.one,) * ell), range(n) if alpha is None else alpha)
     special = (t, h) == DOUBLE_TWIST
 
     def check(al, eta):

@@ -166,6 +166,16 @@ def test_search_limit(capsys):
     assert all(set(hit) == {"alpha", "eta", "method"} for hit in doc["hits"])
 
 
+def test_search_empty_layout_means_no_twists(capsys):
+    # an explicit empty --t/--h searches plain RS codes, as check-mds reads it
+    code, doc = run(
+        capsys, "search", "--q", "7", "--n", "5", "--k", "3", "--t", "", "--h", "", "--limit", "1"
+    )
+    assert code == 0
+    assert doc["count"] == 1
+    assert doc["hits"][0]["eta"] == [] and doc["hits"][0]["method"] == "theorem31"
+
+
 def test_subfield_construct(capsys, tmp_path):
     code, doc = run(
         capsys, "subfield-construct", "--q", "16", "--chain", "4,16",
@@ -239,14 +249,16 @@ def test_compact_json_flag(capsys):
 
 
 def test_field_flags_p_m_modulus(capsys):
-    code, doc = run(
-        capsys,
-        "check-mds",
-        "--p", "2", "--m", "4", "--modulus", "1,1,0,0,1",
-        "--alpha", "0,1,a,a^2", "--k", "2", "--t", "1", "--h", "0", "--eta", "a^3",
-    )
+    # a field is named by its order; --p/--m are no longer flags
+    code_flags = ("--alpha", "0,1,a,a^2", "--k", "2", "--t", "1", "--h", "0", "--eta", "a^3")
+    code, doc = run(capsys, "check-mds", "--q", "16", "--modulus", "1,1,0,0,1", *code_flags)
     assert code == 0
     assert [v["method"] for v in doc["verdicts"]] == ["theorem31"]
+    # nor prefixes of other flags: on hull --p would read as --profile
+    for command in ("check-mds", "hull"):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([command, "--p", "2", "--m", "4", "--modulus", "1,1,0,0,1", *code_flags])
+        assert exc.value.code == 2
 
 
 def _fresh_python(code: str) -> str:

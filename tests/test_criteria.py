@@ -18,8 +18,10 @@ from twistedrs.criteria import (
     elem_sym,
     forbidden_eta_sets,
     mds_system_matrix,
-    remark44_expression,
+    remark44_bad_eta2,
+    remark44_class,
     remark44_is_mds,
+    remark44_mds_etas,
     sigma_coeffs,
     subfield_chain_construct,
     theorem31_is_mds,
@@ -335,19 +337,32 @@ def test_remark44_example_4_3(f16):
         assert remark44_is_mds(f16, alpha, 3, eta1, f16.parse(eta2s)).is_mds
 
 
+def _closed_form(ctx, vals, k, eta1, eta2):
+    """Remark 4.4's 1 - eta1 (-1)^k e_k + eta2 (-1)^k (e_{k-1} e_1 - e_k)
+    + eta1 eta2 e_k^2 for one k-subset, written out from elem_sym."""
+    e, s = elem_sym(ctx, vals), ctx.sign(k)
+    expr = ctx.sub(ctx.one, ctx.mul(eta1, ctx.mul(s, e[k])))
+    expr = ctx.add(expr, ctx.mul(eta2, ctx.mul(s, ctx.sub(ctx.mul(e[k - 1], e[1]), e[k]))))
+    return ctx.add(expr, ctx.mul(ctx.mul(eta1, eta2), ctx.mul(e[k], e[k])))
+
+
 def test_remark44_zero_subset_collapse(f7):
     # when the subset contains 0 the product terms vanish and the
-    # expression reduces to 1 + eta2 (-1)^k e_{k-1} e_1
+    # expression reduces to 1 + eta2 (-1)^k e_{k-1} e_1; the bad eta2 of
+    # the subset's class are exactly the zeros of the written-out form
     k = 3
     vals = (0, 2, 5)
     e = elem_sym(f7, vals)
+    cls = remark44_class(f7, vals, k)
     for eta1 in range(1, 7):
+        bad = remark44_bad_eta2(f7, [cls], eta1)
         for eta2 in range(1, 7):
-            expr = remark44_expression(f7, vals, k, eta1, eta2)
+            expr = _closed_form(f7, vals, k, eta1, eta2)
             reduced = f7.add(
                 f7.one, f7.mul(eta2, f7.mul(f7.sign(k), f7.mul(e[k - 1], e[1])))
             )
             assert expr == reduced
+            assert (eta2 in bad) == (expr == 0)
 
 
 def test_theorem42_example_4_3(f16):
@@ -399,11 +414,21 @@ def test_double_twist_criteria_refuse_values_outside_the_field(f7):
     # eta -1 (read as 6 by negative indexing) or 7, points outside GF(7) or
     # repeated: no criterion answers and the code is not built
     alpha = (0, 1, 2, 3, 4)
-    cases = [(alpha, (-1, 2)), (alpha, (7, 2)), ((0, 1, 2, 3, 9), (1, 2)), ((1, 1, 2, 3, 4), (1, 2))]
+    # n = k + 1 breaks the degree bound k + 1 < n that the code's record
+    # checks, so the criteria refuse it as check-mds does
+    cases = [
+        (alpha, (-1, 2)),
+        (alpha, (7, 2)),
+        ((0, 1, 2, 3, 9), (1, 2)),
+        ((1, 1, 2, 3, 4), (1, 2)),
+        ((0, 1, 2, 3), (1, 2)),
+    ]
     for points, eta in cases:
         for criterion in (remark44_is_mds, theorem42_is_mds):
             with pytest.raises(ValueError):
                 criterion(f7, points, 3, *eta)
+    with pytest.raises(ValueError, match="degree bound"):
+        list(remark44_mds_etas(f7, (0, 1, 2, 3), 3))
     for eta in ((-1, 1), (7, 1), (1, -1)):
         with pytest.raises(ValueError, match="nonzero field element"):
             MultiTwistedCode(f7, TwistProfile(3, (1, 2), (0, 1), eta), range(5))
@@ -424,7 +449,7 @@ def test_four_way_agreement_sampled_prime_powers():
             eta1, eta2 = rng.randrange(1, q), rng.randrange(1, q)
             while draw % 2:
                 eta1, vals = rng.randrange(1, q), rng.sample(alpha, k)
-                zeros = [e for e in range(1, q) if remark44_expression(ctx, vals, k, eta1, e) == 0]
+                zeros = [e for e in range(1, q) if _closed_form(ctx, vals, k, eta1, e) == 0]
                 if zeros:
                     eta2 = rng.choice(zeros)
                     break

@@ -311,7 +311,8 @@ def _with_whole_row_class(ctx, rng, n):
 def test_fixed_alpha_search_matches_per_pair_verdicts(q):
     # the exhaustive search from each alpha's (u, v) classes yields exactly
     # the pairs remark44_is_mds calls MDS, in order, for alpha with 0, alpha
-    # without 0 and alpha with a class whose whole eta2 row is bad
+    # without 0 and alpha with a class whose whole eta2 row is bad; both
+    # read remark44_bad_eta2, so Theorem 4.2 is the independent check
     ctx = Field.of_order(q)
     rng = random.Random(q)
     n, k = 6, 3
@@ -333,6 +334,12 @@ def test_fixed_alpha_search_matches_per_pair_verdicts(q):
             if remark44_is_mds(ctx, alpha, k, eta1, eta2).is_mds
         ]
         assert [hit.eta for hit in hits] == expect
+        assert expect == [
+            (eta1, eta2)
+            for eta1 in range(1, q)
+            for eta2 in range(1, q)
+            if theorem42_is_mds(ctx, alpha, k, eta1, eta2).is_mds
+        ]
         if alpha == whole:
             assert not any(eta1 in row_eta1 for eta1, _ in expect)
 
@@ -373,7 +380,7 @@ def test_search_general_shape_uses_theorem31(f16):
 
 
 def test_search_empty_space_errors(f7):
-    with pytest.raises(ValueError, match="k < n <= q"):
+    with pytest.raises(ValueError, match="more evaluation points than field elements"):
         list(search_mds(f7, 9, 3))
     with pytest.raises(ValueError, match="trials"):
         list(search_mds(f7, 5, 3, strategy="random", trials=0))
