@@ -221,23 +221,43 @@ def _line_weights(ctx: Field, rows):
         for tail in itertools.product(range(ctx.q), repeat=len(rows) - 1 - lead):
             word = rows[lead]
             for coef, row in zip(tail, rows[lead + 1 :]):
-                if coef:
-                    word = [ctx.add(a, ctx.mul(coef, x)) for a, x in zip(word, row)]
+                word = ctx.add_scaled(word, coef, row)
             shared = Counter(ctx.mul(word[j], s) for j, s in root_of)
             yield n - sum(1 for j in free if word[j] == 0) - max(shared.values())
 
 
 def is_mds_bruteforce(view: LinearCodeView, budget: int = DEFAULT_SCAN_BUDGET) -> MdsVerdict:
-    """MDS iff every k-subset of generator columns is nonsingular."""
-    if comb(view.n, view.k) > budget:
-        raise BudgetExceededError(
-            f"C({view.n},{view.k}) column subsets exceed the scan budget {budget}"
-        )
-    all_rows = range(view.k)
-    for cols in itertools.combinations(range(view.n), view.k):
-        if not view.g.submatrix(all_rows, cols).is_nonsingular():
-            return MdsVerdict(False, "bruteforce", cols)
-    return MdsVerdict(True, "bruteforce")
+    """MDS iff every k-subset of generator columns is independent.
+
+    One depth-first walk over column prefixes in lexicographic order keeps
+    an echelon basis of the prefix's columns, each 1 at its pivot, and
+    reduces each next column j against it.  A column that reduces to zero
+    makes every completion of its prefix singular, so the witness is the
+    first of them, prefix + (j, j+1, ...): the lex-first singular subset."""
+    n, k, ctx = view.n, view.k, view.ctx
+    if comb(n, k) > budget:
+        raise BudgetExceededError(f"C({n},{k}) column subsets exceed the scan budget {budget}")
+    cols = list(zip(*view.g.data))
+    prefix, basis = [], []  # basis[i]: (pivot, column prefix[i] reduced and scaled)
+    j = 0
+    while True:
+        if len(prefix) == k or j > n - k + len(prefix):
+            if not prefix:
+                return MdsVerdict(True, "bruteforce")
+            j = prefix.pop() + 1
+            basis.pop()
+            continue
+        v = cols[j]
+        for piv, b in basis:
+            if v[piv]:
+                v = ctx.add_scaled(v, ctx.neg(v[piv]), b)
+        piv = next((i for i, x in enumerate(v) if x), None)
+        if piv is None:
+            return MdsVerdict(False, "bruteforce", (*prefix, *range(j, j + k - len(prefix))))
+        inv = ctx.inv(v[piv])
+        basis.append((piv, [ctx.mul(inv, x) for x in v]))
+        prefix.append(j)
+        j += 1
 
 
 def dual_code(view: LinearCodeView) -> LinearCodeView:

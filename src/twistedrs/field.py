@@ -345,6 +345,29 @@ class Field:
             return 0
         return self._exp[(self._log[x] * e) % (self.q - 1)]
 
+    # -- row kernels: one call per row, on the same three kinds of add --------
+
+    def add_scaled(self, xs, c: FieldElement, ys) -> list[FieldElement]:
+        """[x + c*y for x, y in zip(xs, ys)]."""
+        if c == 0:
+            return list(xs)
+        p, exp, log = self.p, self._exp, self._log
+        if p == 2:
+            lc = log[c]
+            return [x ^ exp[lc + log[y]] if y else x for x, y in zip(xs, ys)]
+        if self.m == 1:
+            return [(x + c * y) % p for x, y in zip(xs, ys)]
+        lc, add = log[c], self.add
+        return [add(x, exp[lc + log[y]]) if y else x for x, y in zip(xs, ys)]
+
+    def dot(self, xs, ys) -> FieldElement:
+        """sum(x*y for x, y in zip(xs, ys))."""
+        if self.m == 1 and self.p != 2:
+            return sum(x * y for x, y in zip(xs, ys)) % self.p
+        exp, log = self._exp, self._log
+        terms = [exp[log[x] + log[y]] for x, y in zip(xs, ys) if x and y]
+        return reduce(operator.xor if self.p == 2 else self.add, terms, 0)
+
     def prod(self, xs) -> FieldElement:
         return reduce(self.mul, xs, self.one)
 

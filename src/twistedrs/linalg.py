@@ -59,10 +59,7 @@ class Matrix:
             raise ValueError(f"dimension mismatch {self.rows}x{self.cols} * {other.rows}x{other.cols}")
         ctx = self.ctx
         ot = other.transpose().data
-        out = []
-        for row in self.data:
-            out.append([ctx.sum(ctx.mul(a, b) for a, b in zip(row, col)) for col in ot])
-        return Matrix(ctx, out)
+        return Matrix(ctx, [[ctx.dot(row, col) for col in ot] for row in self.data])
 
     def submatrix(self, row_idx, col_idx) -> "Matrix":
         return Matrix(self.ctx, [[self.data[i][j] for j in col_idx] for i in row_idx])
@@ -102,8 +99,7 @@ class Matrix:
             m[r] = [ctx.mul(inv, x) for x in m[r]]
             for i in range(self.rows):
                 if i != r and m[i][c] != 0:
-                    f = m[i][c]
-                    m[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(m[i], m[r])]
+                    m[i] = ctx.add_scaled(m[i], ctx.neg(m[i][c]), m[r])
             pivots.append(c)
             r += 1
         return m, pivots, swaps, pivot_prod
@@ -149,18 +145,14 @@ class Matrix:
     def mul_vector(self, v: list[FieldElement]) -> list[FieldElement]:
         if len(v) != self.cols:
             raise ValueError("dimension mismatch")
-        ctx = self.ctx
-        return [ctx.sum(ctx.mul(a, b) for a, b in zip(row, v)) for row in self.data]
+        return [self.ctx.dot(row, v) for row in self.data]
 
     def left_mul_vector(self, v: list[FieldElement]) -> list[FieldElement]:
         if len(v) != self.rows:
             raise ValueError("dimension mismatch")
-        ctx = self.ctx
         out = [0] * self.cols
         for coef, row in zip(v, self.data):
-            if coef == 0:
-                continue
-            out = [ctx.add(x, ctx.mul(coef, y)) for x, y in zip(out, row)]
+            out = self.ctx.add_scaled(out, coef, row)
         return out
 
 

@@ -22,7 +22,9 @@ from .field import Field, FieldSpec
 
 def field_from_doc(doc: dict) -> Field:
     f = doc["field"]
-    return Field(FieldSpec(int(f["p"]), int(f["m"]), tuple(int(c) for c in f["modulus"])))
+    if not isinstance(f["modulus"], list):
+        raise TypeError(f"modulus must be a list, got {f['modulus']!r}")
+    return Field(FieldSpec(_integer(f["p"]), _integer(f["m"]), tuple(map(_integer, f["modulus"]))))
 
 
 def _integer(x) -> int:

@@ -211,6 +211,9 @@ def test_domain_error_exit_code_1(capsys):
         dict(GF7_PROFILE, eta=[7, 1]),
         dict(GF7_PROFILE, alpha=[0, 1, 2.7, 3, 4]),
         dict(GF7_PROFILE, eta=[True, 1]),
+        dict(EX32_PROFILE, field={"p": 2.9, "m": 4.7, "modulus": [1, 1, 0, 0, 1]}),
+        dict(EX32_PROFILE, field={"p": 2, "m": 4, "modulus": "11001"}),
+        dict(EX32_PROFILE, field={"p": 2, "m": 4, "modulus": [1, 1, 0, 0, True]}),
     ],
 )
 def test_malformed_profile_exit_code_1(tmp_path, capsys, doc):

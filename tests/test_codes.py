@@ -2,6 +2,7 @@
 
 import itertools
 import random
+from collections import Counter
 
 import pytest
 
@@ -229,6 +230,77 @@ def test_repeated_column_not_mds(f16):
     verdict = is_mds_bruteforce(LinearCodeView(g))
     assert not verdict.is_mds
     assert set(verdict.witness) == {0, 1}
+
+
+def _per_subset_scan(view):
+    """The scan the prefix walk replaced: one k x k elimination per column
+    subset, in lexicographic order; (is_mds, lex-first singular subset)."""
+    for cols in itertools.combinations(range(view.n), view.k):
+        if not view.g.submatrix(range(view.k), cols).is_nonsingular():
+            return False, cols
+    return True, None
+
+
+def _walk_matches_scan(view):
+    verdict = is_mds_bruteforce(view)
+    assert (verdict.is_mds, verdict.witness) == _per_subset_scan(view)
+    return verdict.is_mds
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_prefix_walk_matches_per_subset_scan_every_k(q):
+    ctx = Field.of_order(q)
+    rng = random.Random(q)
+    verdicts = []
+    for n in range(3, min(q, 7) + 1):
+        for k in range(1, n):
+            for _ in range(4):
+                verdicts.append(_walk_matches_scan(LinearCodeView.of_code(rand_code(ctx, rng, n, k, 3))))
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_prefix_walk_matches_per_subset_scan_sampled():
+    rng = random.Random(67)
+    drawn = Counter()
+    while sum(drawn.values()) < 150:
+        ctx = Field.of_order(rng.choice([16, 25, 27]))
+        n = rng.randint(4, 9)
+        k = rng.randint(2, n - 2)
+        alpha = tuple(sorted(rng.sample(range(ctx.q), n)))
+        ell = rng.randint(0, min(3, k, n - k))
+        t = tuple(sorted(rng.sample(range(1, n - k + 1), ell)))
+        h = tuple(sorted(rng.sample(range(k), ell)))
+        # eta from a few small values, so that some draws are not MDS
+        eta = tuple(rng.randint(1, 4) for _ in range(ell))
+        code = MultiTwistedCode(ctx, TwistProfile(k, t, h, eta), alpha)
+        drawn[ell, _walk_matches_scan(LinearCodeView.of_code(code))] += 1
+    assert all(drawn[ell, False] + drawn[ell, True] for ell in range(4)), drawn
+    assert sum(drawn[ell, False] for ell in range(4)) >= 20, drawn
+
+
+def test_prefix_walk_on_zero_repeated_and_full_columns(f4, f16):
+    gens = [
+        [[1, 0, 1, 1], [0, 0, 1, 2]],  # zero column 1
+        [[1, 1, 0, 0], [0, 1, 1, 0]],  # zero column 3, never first in a subset
+        [[1, 2, 2, 1], [0, 3, 3, 1]],  # columns 1 and 2 repeated
+        [[1, 1, 1, 0, 3]],  # k = 1: only the zero column fails
+        [[1, 2, 3]],
+        [[1, 0, 2], [0, 1, 3], [0, 0, 1]],  # k = n
+        [[1, 0, 0, 0, 1, 1], [0, 1, 0, 1, 0, 1], [0, 0, 1, 1, 1, 1]],  # c4 = c0 + c2
+    ]
+    witnesses = []
+    for rows in gens:
+        view = LinearCodeView(Matrix(f4, rows))
+        _walk_matches_scan(view)
+        witnesses.append(is_mds_bruteforce(view).witness)
+    assert witnesses == [(0, 1), (0, 3), (1, 2), (3,), None, None, (0, 2, 4)]
+    rng = random.Random(5)
+    for _ in range(200):  # entries from {0, 1, a}: many singular subsets
+        k = rng.randint(1, 4)
+        n = rng.randint(k, 7)
+        rows = [[rng.choice([0, 1, 2]) for _ in range(n)] for _ in range(k)]
+        if Matrix(f16, rows).rank() == k:
+            _walk_matches_scan(LinearCodeView(Matrix(f16, rows)))
 
 
 def test_mds_iff_singleton_distance():

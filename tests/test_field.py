@@ -273,6 +273,43 @@ def test_add_neg_sub_sampled_large(q):
     assert [twin.add(x, y) for x, y in pairs] == [ctx.add(x, y) for x, y in pairs]
 
 
+# -- row kernels against the scalar definitions ---------------------------------
+
+
+def _check_row_kernels(ctx, rows, scalars):
+    """add_scaled and dot on each (xs, ys) row pair, for each c in scalars,
+    against the scalar add, mul and sum."""
+    for xs, ys in rows:
+        assert ctx.dot(xs, ys) == ctx.sum(ctx.mul(x, y) for x, y in zip(xs, ys))
+        for c in scalars:
+            want = [ctx.add(x, ctx.mul(c, y)) for x, y in zip(xs, ys)]
+            got = ctx.add_scaled(xs, c, ys)
+            assert got == want and got is not xs
+
+
+@pytest.mark.parametrize("q", [2, 4, 5, 9, 16])
+def test_row_kernels_exhaustive(q):
+    ctx = Field.of_order(q)
+    every = range(q)
+    # one row pair holds every (x, y), so each c meets every triple (x, c, y)
+    xs = [x for x in every for _ in every]
+    ys = [y for _ in every for y in every]
+    rows = [(xs, ys), ([0] * q, list(every)), (list(every), [0] * q), ([], [])]
+    rows += [([x], [y]) for x in every for y in every]
+    _check_row_kernels(ctx, rows, every)
+
+
+@pytest.mark.parametrize("q", [243, 729, 65536])
+def test_row_kernels_sampled(q):
+    ctx = Field.of_order(q)
+    rng = random.Random(q + 2)
+    rows = [([], []), ([0] * 9, [rng.randrange(q) for _ in range(9)])]
+    for _ in range(300):
+        size = rng.randint(1, 12)
+        rows.append(tuple([rng.randrange(q) for _ in range(size)] for _ in range(2)))
+    _check_row_kernels(ctx, rows, [0, 1, q - 1] + [rng.randrange(1, q) for _ in range(5)])
+
+
 @pytest.mark.parametrize("q", [4096, 65536])
 def test_table_build_takes_few_schoolbook_products(q, monkeypatch):
     calls = 0
