@@ -233,7 +233,7 @@ def test_repeated_column_not_mds(f16):
 
 
 def _per_subset_scan(view):
-    """The scan the prefix walk replaced: one k x k elimination per column
+    """Reference for the prefix walk: one k x k elimination per column
     subset, in lexicographic order; (is_mds, lex-first singular subset)."""
     for cols in itertools.combinations(range(view.n), view.k):
         if not view.g.submatrix(range(view.k), cols).is_nonsingular():
