@@ -156,19 +156,25 @@ class LinearCodeView:
     """Uniform carrier for any linear code given by a full-rank generator."""
 
     def __init__(self, g: Matrix):
-        self.g = g
-        self.n = g.cols
-        self.k = g.rows
-        if g.rank() != self.k:
+        if g.rank() != g.rows:
             raise ValueError("generator matrix is not full rank")
+        self.g = g
+
+    @classmethod
+    def _full_rank(cls, g: Matrix) -> "LinearCodeView":  # rank proved where g is built
+        view = cls.__new__(cls)
+        view.g = g
+        return view
 
     @classmethod
     def of_code(cls, code: MultiTwistedCode) -> "LinearCodeView":
-        return cls(generator_matrix(code))
+        """The code's generator has rank k: its rows are k polynomials with
+        distinct lowest terms x^0..x^(k-1), of degree < n, at n distinct points."""
+        return cls._full_rank(generator_matrix(code))
 
-    @property
-    def ctx(self) -> Field:
-        return self.g.ctx
+    n = property(lambda self: self.g.cols)
+    k = property(lambda self: self.g.rows)
+    ctx = property(lambda self: self.g.ctx)
 
 
 class MdsVerdict(NamedTuple):
@@ -261,11 +267,8 @@ def is_mds_bruteforce(view: LinearCodeView, budget: int = DEFAULT_SCAN_BUDGET) -
 
 
 def dual_code(view: LinearCodeView) -> LinearCodeView:
-    """Generator of the dual: a basis of the right kernel of G."""
-    h = view.g.null_space()
-    if h.rows != view.n - view.k:
-        raise ValueError("kernel dimension mismatch")  # unreachable for full-rank G
-    return LinearCodeView(h)
+    """Generator of the dual: a kernel basis of G, full rank by its identity on the free columns."""
+    return LinearCodeView._full_rank(view.g.null_space())
 
 
 def hull_direct(view: LinearCodeView) -> tuple[int, Matrix]:

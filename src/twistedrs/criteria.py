@@ -263,6 +263,8 @@ def remark44_mds_etas(ctx: Field, alpha, k: int) -> Iterator[tuple[FieldElement,
     alpha's k-subsets are computed once, and each eta1 row keeps the eta2
     that no class makes bad."""
     alpha = _double_twist_points(ctx, alpha, k, ctx.one, ctx.one)
+    if comb(n := len(alpha), k) > DEFAULT_SCAN_BUDGET:
+        raise BudgetExceededError(f"C({n},{k}) subsets exceed the scan budget {DEFAULT_SCAN_BUDGET}")
     classes = {
         remark44_class(ctx, [alpha[i] for i in subset], k)
         for subset in itertools.combinations(range(len(alpha)), k)

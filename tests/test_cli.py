@@ -237,6 +237,16 @@ def test_search_repeated_alpha_exit_code_1(capsys):
     assert doc["error"]["type"] == "ValueError"
     assert "distinct" in doc["error"]["message"]
 
+@pytest.mark.parametrize("alpha", [(), ("--alpha", ",".join(map(str, range(1, 41))))])
+def test_search_past_the_scan_budget_exit_code_1(capsys, alpha):
+    code, doc = run(capsys, "search", "--q", "41", "--n", "40", "--k", "20", "--limit", "1", *alpha)
+    assert code == 1
+    assert doc["error"] == {
+        "type": "BudgetExceededError",
+        "message": "C(40,20) subsets exceed the scan budget 10000000",
+    }
+
+
 def test_usage_error_exit_code_2(capsys):
     with pytest.raises(SystemExit) as exc:
         cli_main(["enumerate", "--q", "5", "--n", "4"])  # missing --k

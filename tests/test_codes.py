@@ -173,6 +173,25 @@ def test_generator_always_full_rank(f16, f7):
             assert generator_matrix(code).rank() == 3
 
 
+def test_view_rejects_rank_deficient_generators(f7):
+    # a zero row, two equal rows, and more rows than columns
+    for rows in ([[1, 2, 3], [0, 0, 0]], [[1, 2, 3], [1, 2, 3]], [[1, 0], [0, 1], [1, 1]]):
+        with pytest.raises(ValueError, match="generator matrix is not full rank"):
+            LinearCodeView(Matrix(f7, rows))
+
+
+def test_code_view_and_dual_run_no_rank_elimination(f16, monkeypatch):
+    # the code's construction proves its generator's rank, and the kernel
+    # basis its own, so the one elimination left is the kernel of G itself
+    calls = []
+    eliminate = Matrix._eliminate
+    monkeypatch.setattr(Matrix, "_eliminate", lambda self: calls.append(self) or eliminate(self))
+    view = LinearCodeView.of_code(ex43_code(f16))
+    assert calls == []
+    assert dual_code(view).k == 2
+    assert calls == [view.g]
+
+
 def test_encode_injective_sampled(f16):
     rng = random.Random(59)
     code = ex43_code(f16)

@@ -7,7 +7,9 @@ from collections import Counter
 
 import pytest
 
+from twistedrs import criteria
 from twistedrs.codes import (
+    BudgetExceededError,
     LinearCodeView,
     MultiTwistedCode,
     TwistProfile,
@@ -432,6 +434,17 @@ def test_double_twist_criteria_refuse_values_outside_the_field(f7):
     for eta in ((-1, 1), (7, 1), (1, -1)):
         with pytest.raises(ValueError, match="nonzero field element"):
             MultiTwistedCode(f7, TwistProfile(3, (1, 2), (0, 1), eta), range(5))
+
+
+def test_mds_etas_refuse_past_the_scan_budget(f7, monkeypatch):
+    with pytest.raises(BudgetExceededError, match=r"^C\(40,20\) subsets exceed the scan budget 10000000$"):
+        next(remark44_mds_etas(Field.of_order(41), range(1, 41), 20))
+    # at the budget the classes of all C(5,3) = 10 subsets are computed
+    monkeypatch.setattr(criteria, "DEFAULT_SCAN_BUDGET", 10)
+    assert len(list(remark44_mds_etas(f7, range(5), 3))) == 9
+    monkeypatch.setattr(criteria, "DEFAULT_SCAN_BUDGET", 9)
+    with pytest.raises(BudgetExceededError, match=r"C\(5,3\) subsets"):
+        next(remark44_mds_etas(f7, range(5), 3))
 
 
 def test_four_way_agreement_sampled_prime_powers():

@@ -388,6 +388,13 @@ def test_search_empty_space_errors(f7):
         list(search_mds(f7, 5, 3, strategy="sideways"))
 
 
+def test_exhaustive_search_refuses_past_the_scan_budget():
+    f41 = Field.of_order(41)
+    for alpha in (None, tuple(range(1, 41))):
+        with pytest.raises(BudgetExceededError, match=r"C\(40,20\) subsets"):
+            next(search_mds(f41, 40, 20, alpha=alpha))
+
+
 def test_search_rejects_repeated_fixed_points(f7):
     """A repeated column is never MDS, so a fixed alpha with one is refused
     for every layout and strategy."""

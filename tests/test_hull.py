@@ -68,6 +68,16 @@ def test_subgroup_eval_even_example_points(f16):
     assert [f16.format(x) for x in alpha] == expect
 
 
+def test_subgroup_eval_points_are_distinct():
+    # gamma lies outside the order-k subgroup when k < q - 1, so the two
+    # copies are disjoint
+    for q in (4, 7, 9, 16, 25, 64, 81):
+        ctx = Field.of_order(q)
+        for k in range(1, q - 1):
+            if (q - 1) % k == 0:
+                assert len(set(subgroup_eval(ctx, k))) == 2 * k, (q, k)
+
+
 def test_subgroup_eval_rejects_full_group(f16):
     with pytest.raises(ValueError, match="coincide"):
         subgroup_eval(f16, 15)
