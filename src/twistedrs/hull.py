@@ -65,7 +65,9 @@ def hull_report(view: LinearCodeView) -> HullReport:
     elimination brings the h x n matrix of the xG to reduced row echelon
     form, so the basis is the one codes.hull_direct returns and the CLI's
     JSON does not depend on which kernel basis came out."""
-    gram = view.g.mat_mul(view.g.transpose())
+    rows, dot = view.g.data, view.ctx.dot  # G G^T is symmetric: each pair of rows is dotted once
+    low = [[dot(a, b) for b in rows[: i + 1]] for i, a in enumerate(rows)]
+    gram = Matrix(view.ctx, [r + [low[j][i] for j in range(i + 1, len(rows))] for i, r in enumerate(low)])
     kern = gram.null_space()
     basis = Matrix(view.ctx, [view.g.left_mul_vector(x) for x in kern.data]).row_space_basis()
     return HullReport(view.k, view.k - kern.rows, kern.rows, gram, basis)

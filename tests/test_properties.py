@@ -76,6 +76,7 @@ def test_view_and_dual_have_the_rank_their_construction_proves(code):
     assert h.rows == h.rank() == code.n - code.dim
     assert all(x == 0 for row in g.mat_mul(h.transpose()).data for x in row)
     rep = hull_report(view)
+    assert rep.gram == g.mat_mul(g.transpose())
     assert (rep.hull_dim, rep.hull_basis) == hull_direct(view)
 
 
