@@ -11,8 +11,10 @@ import argparse
 import json
 import sys
 import time
+from math import comb
 
 from .codes import (
+    DEFAULT_SCAN_BUDGET,
     BudgetExceededError,
     LinearCodeView,
     MultiTwistedCode,
@@ -195,6 +197,10 @@ def _cmd_search(args) -> dict:
         raise ValueError("--limit must be >= 0")
     ctx = _field_from_args(args)
     alpha = ctx.parse_vector(args.alpha.split(",")) if args.alpha else None
+    if not args.limit and args.strategy == "exhaustive" and args.n >= 0:  # the search refuses n < 0
+        pairs = (comb(ctx.q, args.n) if alpha is None else 1) * (ctx.q - 1) ** len(_ints(args.t))
+        if pairs > DEFAULT_SCAN_BUDGET:
+            raise BudgetExceededError(f"{pairs} (alpha, eta) pairs exceed the scan budget {DEFAULT_SCAN_BUDGET}")
     hits = []
     stream = search_mds(
         ctx,
@@ -245,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("min-distance", help="exact minimum distance by line scan")
     _add_code_flags(p)
-    p.add_argument("--budget", type=int, default=10**7)
+    p.add_argument("--budget", type=int, default=DEFAULT_SCAN_BUDGET)
     p.set_defaults(fn=_cmd_min_distance)
 
     p = sub.add_parser("hull", help="Gram rank and hull dimension")

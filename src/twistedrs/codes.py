@@ -34,6 +34,13 @@ class BudgetExceededError(RuntimeError):
 DEFAULT_SCAN_BUDGET = 10**7
 
 
+def check_subset_budget(n: int, k: int) -> None:
+    """Refuse a scan of the C(n, k) k-subsets of n points past DEFAULT_SCAN_BUDGET,
+    read at call time; every MDS route scans them."""
+    if comb(n, k) > DEFAULT_SCAN_BUDGET:
+        raise BudgetExceededError(f"C({n},{k}) subsets exceed the scan budget {DEFAULT_SCAN_BUDGET}")
+
+
 class _TwistProfile(NamedTuple):
     k: int
     t: tuple[int, ...] = ()
@@ -232,7 +239,7 @@ def _line_weights(ctx: Field, rows):
             yield n - sum(1 for j in free if word[j] == 0) - max(shared.values())
 
 
-def is_mds_bruteforce(view: LinearCodeView, budget: int = DEFAULT_SCAN_BUDGET) -> MdsVerdict:
+def is_mds_bruteforce(view: LinearCodeView) -> MdsVerdict:
     """MDS iff every k-subset of generator columns is independent.
 
     One depth-first walk over column prefixes in lexicographic order keeps
@@ -241,8 +248,7 @@ def is_mds_bruteforce(view: LinearCodeView, budget: int = DEFAULT_SCAN_BUDGET) -
     makes every completion of its prefix singular, so the witness is the
     first of them, prefix + (j, j+1, ...): the lex-first singular subset."""
     n, k, ctx = view.n, view.k, view.ctx
-    if comb(n, k) > budget:
-        raise BudgetExceededError(f"C({n},{k}) column subsets exceed the scan budget {budget}")
+    check_subset_budget(n, k)
     cols = list(zip(*view.g.data))
     prefix, basis = [], []  # basis[i]: (pivot, column prefix[i] reduced and scaled)
     j = 0

@@ -17,16 +17,9 @@ test in codes.py:
 from __future__ import annotations
 
 import itertools
-from math import comb
 from typing import Iterator
 
-from .codes import (
-    BudgetExceededError,
-    DEFAULT_SCAN_BUDGET,
-    MdsVerdict,
-    MultiTwistedCode,
-    TwistProfile,
-)
+from .codes import MdsVerdict, MultiTwistedCode, TwistProfile, check_subset_budget
 from .field import Field, FieldElement
 from .linalg import Matrix
 
@@ -94,7 +87,7 @@ def mds_system_matrix(code: MultiTwistedCode, subset) -> Matrix:
     return Matrix(ctx, rows)
 
 
-def theorem31_is_mds(code: MultiTwistedCode, budget: int = DEFAULT_SCAN_BUDGET) -> MdsVerdict:
+def theorem31_is_mds(code: MultiTwistedCode) -> MdsVerdict:
     """MDS iff the subset system is nonsingular for every k-subset.
 
     Plain RS (no twists) short-circuits to MDS.  Subsets are scanned in
@@ -103,10 +96,8 @@ def theorem31_is_mds(code: MultiTwistedCode, budget: int = DEFAULT_SCAN_BUDGET) 
     pr = code.profile
     if pr.ell == 0:
         return MdsVerdict(True, "theorem31")
-    n = code.n
-    if comb(n, pr.k) > budget:
-        raise BudgetExceededError(f"C({n},{pr.k}) subsets exceed the scan budget {budget}")
-    for subset in itertools.combinations(range(n), pr.k):
+    check_subset_budget(code.n, pr.k)
+    for subset in itertools.combinations(range(code.n), pr.k):
         if not mds_system_matrix(code, subset).is_nonsingular():
             return MdsVerdict(False, "theorem31", subset)
     return MdsVerdict(True, "theorem31")
@@ -241,8 +232,12 @@ def remark44_bad_eta2(ctx: Field, classes, eta1) -> set[FieldElement]:
 
 def _double_twist_points(ctx: Field, alpha, k: int, eta1, eta2) -> tuple[FieldElement, ...]:
     """alpha as a tuple of field points, once the double-twist code with
-    (eta1, eta2) on it passes the records' checks."""
-    return MultiTwistedCode(ctx, TwistProfile(k, *DOUBLE_TWIST, (eta1, eta2)), alpha).alpha
+    (eta1, eta2) on it passes the records' checks and its C(n, k) subsets
+    fit the scan budget.  Theorem 4.2's scans have the same count: with 0
+    among the points, C(n-1, k) + C(n-1, k-1) = C(n, k)."""
+    alpha = MultiTwistedCode(ctx, TwistProfile(k, *DOUBLE_TWIST, (eta1, eta2)), alpha).alpha
+    check_subset_budget(len(alpha), k)
+    return alpha
 
 
 def remark44_is_mds(ctx: Field, alpha, k: int, eta1, eta2) -> MdsVerdict:
@@ -263,8 +258,6 @@ def remark44_mds_etas(ctx: Field, alpha, k: int) -> Iterator[tuple[FieldElement,
     alpha's k-subsets are computed once, and each eta1 row keeps the eta2
     that no class makes bad."""
     alpha = _double_twist_points(ctx, alpha, k, ctx.one, ctx.one)
-    if comb(n := len(alpha), k) > DEFAULT_SCAN_BUDGET:
-        raise BudgetExceededError(f"C({n},{k}) subsets exceed the scan budget {DEFAULT_SCAN_BUDGET}")
     classes = {
         remark44_class(ctx, [alpha[i] for i in subset], k)
         for subset in itertools.combinations(range(len(alpha)), k)

@@ -312,57 +312,50 @@ def _bruteforce_set_count(ctx: Field, n: int, k: int, subset) -> int:
     return count
 
 
-def _count_chunk(kern: _FieldKernel, n: int, k: int, criterion: str, sets: np.ndarray) -> np.ndarray:
-    """Per-set tallies for the rows of sets."""
-    import numpy as np
-    q = kern.q
-    if criterion == "bruteforce":
-        ctx = kern.field
-        return np.array([_bruteforce_set_count(ctx, n, k, s) for s in sets.tolist()], np.int64)
-    sk = min(_SUBSET_CHUNK, comb(n, k))
-    # keep one chunk's (B, S, k) value tensor, the (B, q*q) class presence
-    # and bad pair arrays and the (pairs, q-1) scatter index small; a set
-    # hits at most min(S, q*q) classes in one chunk
-    batch = max(
-        1,
-        min(4_000_000 // (sk * k), 8_000_000 // (q * q), 1_000_000 // (min(sk, q * q) * (q - 1))),
-    )
-    return np.concatenate(
-        [_remark44_set_counts(kern, n, k, sets[i : i + batch]) for i in range(0, len(sets), batch)]
-    )
-
-
-def count_mds_double_twisted(
-    task: EnumTask, histogram: bool = False, budget: int = ENUM_BUDGET
-) -> EnumResult:
+def count_mds_double_twisted(task: EnumTask, histogram: bool = False) -> EnumResult:
     """Number of (evaluation set, eta pair) combinations giving an MDS
     double-twisted code with twists (1, 2) and hooks (0, 1).
 
     The closed form runs on one representative per orbit of evaluation
     sets and weights each tally by its orbit's size; with histogram it
     copies each tally back to every set of the orbit instead.  The
-    brute-force oracle runs on every set."""
-    if task.cost > budget:
+    brute-force oracle runs on every set.  A task whose cost exceeds
+    ENUM_BUDGET, read at call time, is refused."""
+    if task.cost > ENUM_BUDGET:
         raise BudgetExceededError(
-            f"task cost {task.cost} exceeds the enumeration budget {budget}"
+            f"task cost {task.cost} exceeds the enumeration budget {ENUM_BUDGET}"
         )
+    import numpy as np
     start = time.perf_counter()
-    kern = _kernel(task.q)
+    q, n, k = task.q, task.n, task.k
+    kern = _kernel(q)
     sets = inverse = sizes = None
     if task.criterion == "bruteforce":
-        work = sets = _all_sets(kern, task.n)
-    elif histogram:
-        sets = _all_sets(kern, task.n)
-        first, inverse = kern.orbits(sets)
-        work = sets[first]
+        sets = _all_sets(kern, n)
+        tallies = np.array([_bruteforce_set_count(kern.field, n, k, s) for s in sets.tolist()], np.int64)
     else:
-        work, sizes = _orbit_reps(task.q, task.n)
-    tallies = _count_chunk(kern, task.n, task.k, task.criterion, work)
+        if histogram:
+            sets = _all_sets(kern, n)
+            first, inverse = kern.orbits(sets)
+            work = sets[first]
+        else:
+            work, sizes = _orbit_reps(q, n)
+        sk = min(_SUBSET_CHUNK, comb(n, k))
+        # keep one chunk's (B, S, k) value tensor, the (B, q*q) class presence
+        # and bad pair arrays and the (pairs, q-1) scatter index small; a set
+        # hits at most min(S, q*q) classes in one chunk
+        batch = max(
+            1,
+            min(4_000_000 // (sk * k), 8_000_000 // (q * q), 1_000_000 // (min(sk, q * q) * (q - 1))),
+        )
+        tallies = np.concatenate(
+            [_remark44_set_counts(kern, n, k, work[i : i + batch]) for i in range(0, len(work), batch)]
+        )
     if inverse is not None:
         tallies = tallies[inverse]
     total = int(tallies.sum() if sizes is None else tallies @ sizes)
     per_set = dict(zip(map(tuple, sets.tolist()), tallies.tolist())) if histogram else None
-    assert total <= comb(task.q, task.n) * (task.q - 1) ** 2
+    assert total <= comb(q, n) * (q - 1) ** 2
     return EnumResult(
         total_count=total,
         criterion=task.criterion,

@@ -24,17 +24,6 @@ from typing import NamedTuple
 FieldElement = int  # index encoding, see module docstring
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n by trial division (n is tiny here)."""
     out = []
@@ -133,12 +122,15 @@ class FieldSpec(_FieldSpec):
     __slots__ = ()
 
     def __new__(cls, p: int, m: int, modulus: tuple[int, ...]):
-        if not _is_prime(p):
+        # the cap comes first, so that no huge p is trial-divided; p^m is
+        # only computed where it is small (3^(10^7) alone takes seconds)
+        if p >= 2 and m >= 1 and (p > 65536 or m > 16 or p**m > 65536):
+            order = p**m if m * p.bit_length() <= 256 else f"{p}^{m}"
+            raise ValueError(f"field order {order} exceeds the 2^16 cap")
+        if _prime_factors(p) != [p]:
             raise ValueError(f"characteristic {p} is not prime")
         if m < 1:
             raise ValueError("extension degree must be >= 1")
-        if p**m > 65536:
-            raise ValueError(f"field order {p**m} exceeds the 2^16 cap")
         mod = tuple(int(c) for c in modulus)
         if len(mod) != m + 1 or mod[-1] != 1:
             raise ValueError("modulus must be monic of degree m")
@@ -155,6 +147,8 @@ class FieldSpec(_FieldSpec):
     @classmethod
     def of_order(cls, q: int, modulus: tuple[int, ...] | None = None) -> "FieldSpec":
         """Spec for the field of order q with the default (or given) modulus."""
+        if q > 65536:
+            raise ValueError(f"field order {q} exceeds the 2^16 cap")
         fac = _prime_factors(q)
         if len(fac) != 1 or q < 2:
             raise ValueError(f"{q} is not a prime power")

@@ -16,48 +16,50 @@ import json
 import os
 import time
 
-from .enumeration import ENUM_BUDGET, EnumTask, count_mds_double_twisted
+from . import enumeration
+from .enumeration import EnumTask, count_mds_double_twisted
 from .field import FieldSpec
 
 FIELD_ORDERS = (4, 5, 7, 8, 9, 11, 13, 16, 17)
 
 
-def cells_for(q: int, budget: int = ENUM_BUDGET):
-    """(in_budget, skipped) lists of (n, k[, cost]) for one field order."""
+def cells_for(q: int):
+    """(in_budget, skipped) lists of (n, k[, cost]) for one field order,
+    by the enumeration budget the count reads."""
     in_budget, skipped = [], []
     for n in range(4, q + 1):
         for k in range(2, n - 1):
             task = EnumTask(q, n, k)
-            if task.cost <= budget:
+            if task.cost <= enumeration.ENUM_BUDGET:
                 in_budget.append((n, k))
             else:
                 skipped.append((n, k, task.cost))
     return in_budget, skipped
 
 
-def regenerate_order(q: int, budget: int = ENUM_BUDGET) -> dict:
+def regenerate_order(q: int) -> dict:
     spec = FieldSpec.of_order(q)
-    in_budget, skipped = cells_for(q, budget)
+    in_budget, skipped = cells_for(q)
     cells = []
     for n, k in in_budget:
-        res = count_mds_double_twisted(EnumTask(q, n, k), budget=budget)
+        res = count_mds_double_twisted(EnumTask(q, n, k))
         cells.append({"n": n, "k": k, "count": res.total_count})
     return {
         "q": q,
         "field": {"p": spec.p, "m": spec.m, "modulus": list(spec.modulus)},
         "criterion": "remark44",
-        "budget": budget,
+        "budget": enumeration.ENUM_BUDGET,
         "cells": cells,
         "skipped": [{"n": n, "k": k, "cost": c} for n, k, c in skipped],
     }
 
 
-def write_goldens(out_dir: str, orders=FIELD_ORDERS, budget: int = ENUM_BUDGET):
+def write_goldens(out_dir: str, orders=FIELD_ORDERS):
     os.makedirs(out_dir, exist_ok=True)
     paths = []
     for q in orders:
         started = time.perf_counter()
-        doc = regenerate_order(q, budget)
+        doc = regenerate_order(q)
         doc["elapsed"] = round(time.perf_counter() - started, 3)
         path = os.path.join(out_dir, f"table1_q{q}.json")
         with open(path, "w", encoding="utf-8") as fh:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -245,6 +246,58 @@ def test_search_past_the_scan_budget_exit_code_1(capsys, alpha):
         "type": "BudgetExceededError",
         "message": "C(40,20) subsets exceed the scan budget 10000000",
     }
+
+
+@pytest.mark.parametrize("method", ["remark44", "theorem42"])
+def test_per_pair_verdict_past_the_scan_budget_exit_code_1(capsys, method):
+    """A witness early in the scan does not excuse the C(40,20) subsets."""
+    alpha = ",".join(map(str, range(1, 41)))
+    code, doc = run(
+        capsys, "check-mds", "--q", "41", "--alpha", alpha, "--k", "20",
+        "--t", "1,2", "--h", "0,1", "--eta", "3,5", "--method", method,
+    )
+    assert code == 1
+    assert doc["error"] == {
+        "type": "BudgetExceededError",
+        "message": "C(40,20) subsets exceed the scan budget 10000000",
+    }
+
+
+def test_unbounded_exhaustive_search_past_the_scan_budget_exit_code_1(capsys):
+    # C(31,8) evaluation sets times 30^2 eta pairs
+    code, doc = run(capsys, "search", "--q", "31", "--n", "8", "--k", "3")
+    assert code == 1
+    assert doc["error"] == {
+        "type": "BudgetExceededError",
+        "message": "7099852500 (alpha, eta) pairs exceed the scan budget 10000000",
+    }
+    # a positive limit stops the walk, so it is not checked
+    code, doc = run(capsys, "search", "--q", "31", "--n", "8", "--k", "3", "--limit", "3")
+    assert code == 0 and doc["count"] == 3
+    # C(7,5) * 6^2 = 756 pairs fit: every hit is listed
+    code, doc = run(capsys, "search", "--q", "7", "--n", "5", "--k", "3")
+    assert code == 0 and doc["count"] == count_mds_double_twisted(EnumTask(7, 5, 3)).total_count
+
+
+BIG_PRIME = 1000000000000000003
+
+
+@pytest.mark.parametrize(
+    "argv,order",
+    [
+        (["enumerate", "--q", str(BIG_PRIME), "--n", "4", "--k", "2"], BIG_PRIME),
+        (["check-mds", "--q", str(BIG_PRIME), "--alpha", "0,1,2,3", "--k", "2"], BIG_PRIME),
+        (["hull", "--profile", dict(GF7_PROFILE, field={"p": BIG_PRIME, "m": 1, "modulus": [0, 1]})], BIG_PRIME),
+        (["hull", "--profile", dict(GF7_PROFILE, field={"p": 3, "m": 10**7, "modulus": [0, 1]})], "3^10000000"),
+    ],
+)
+def test_field_order_past_the_cap_exit_code_1_at_once(capsys, tmp_path, argv, order):
+    argv = [write_profile(tmp_path, a) if isinstance(a, dict) else a for a in argv]
+    start = time.perf_counter()
+    code, doc = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert doc["error"] == {"type": "ValueError", "message": f"field order {order} exceeds the 2^16 cap"}
 
 
 def test_usage_error_exit_code_2(capsys):

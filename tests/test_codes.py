@@ -6,6 +6,7 @@ from collections import Counter
 
 import pytest
 
+from twistedrs import codes
 from twistedrs.codes import (
     BudgetExceededError,
     LinearCodeView,
@@ -334,13 +335,14 @@ def test_mds_iff_singleton_distance():
         assert is_mds_bruteforce(view).is_mds == (d == n - k + 1)
 
 
-def test_budget_guard(f16):
+def test_budget_guard(f16, monkeypatch):
     code = MultiTwistedCode(f16, TwistProfile(3), tuple(range(5)))
     view = LinearCodeView.of_code(code)
     with pytest.raises(BudgetExceededError):
         min_distance_bruteforce(view, budget=10)
+    monkeypatch.setattr(codes, "DEFAULT_SCAN_BUDGET", 2)
     with pytest.raises(BudgetExceededError):
-        is_mds_bruteforce(view, budget=2)
+        is_mds_bruteforce(view)
 
 
 def _message_scan_min_distance(view):

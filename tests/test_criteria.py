@@ -7,7 +7,7 @@ from collections import Counter
 
 import pytest
 
-from twistedrs import criteria
+from twistedrs import codes
 from twistedrs.codes import (
     BudgetExceededError,
     LinearCodeView,
@@ -440,11 +440,39 @@ def test_mds_etas_refuse_past_the_scan_budget(f7, monkeypatch):
     with pytest.raises(BudgetExceededError, match=r"^C\(40,20\) subsets exceed the scan budget 10000000$"):
         next(remark44_mds_etas(Field.of_order(41), range(1, 41), 20))
     # at the budget the classes of all C(5,3) = 10 subsets are computed
-    monkeypatch.setattr(criteria, "DEFAULT_SCAN_BUDGET", 10)
+    monkeypatch.setattr(codes, "DEFAULT_SCAN_BUDGET", 10)
     assert len(list(remark44_mds_etas(f7, range(5), 3))) == 9
-    monkeypatch.setattr(criteria, "DEFAULT_SCAN_BUDGET", 9)
+    monkeypatch.setattr(codes, "DEFAULT_SCAN_BUDGET", 9)
     with pytest.raises(BudgetExceededError, match=r"C\(5,3\) subsets"):
         next(remark44_mds_etas(f7, range(5), 3))
+
+
+_SCANS = {
+    "minors": lambda code: is_mds_bruteforce(LinearCodeView.of_code(code)).is_mds,
+    "theorem31": lambda code: theorem31_is_mds(code).is_mds,
+    "remark44": lambda code: remark44_is_mds(code.ctx, code.alpha, code.dim, *code.profile.eta).is_mds,
+    "theorem42": lambda code: theorem42_is_mds(code.ctx, code.alpha, code.dim, *code.profile.eta).is_mds,
+    "mds_etas": lambda code: code.profile.eta in set(remark44_mds_etas(code.ctx, code.alpha, code.dim)),
+}
+
+
+@pytest.mark.parametrize("scan", sorted(_SCANS))
+@pytest.mark.parametrize("alpha", [range(5), range(1, 6)])
+def test_every_subset_scan_shares_one_budget(f7, monkeypatch, scan, alpha):
+    """All five k-subset scans refuse a code whose C(n, k) subsets exceed
+    the scan budget by one, with one message, and decide it at the budget.
+    With 0 among the points Theorem 4.2 scans C(4,3) + C(4,2) = C(5,3)."""
+    want = {}
+    for eta in ((2, 1), (3, 5), (6, 2)):
+        code = MultiTwistedCode(f7, TwistProfile(3, (1, 2), (0, 1), eta), alpha)
+        want[eta] = is_mds_bruteforce(LinearCodeView.of_code(code)).is_mds
+        monkeypatch.setattr(codes, "DEFAULT_SCAN_BUDGET", 9)
+        with pytest.raises(BudgetExceededError, match=r"^C\(5,3\) subsets exceed the scan budget 9$"):
+            _SCANS[scan](code)
+        monkeypatch.setattr(codes, "DEFAULT_SCAN_BUDGET", 10)
+        assert _SCANS[scan](code) == want[eta]
+        monkeypatch.undo()
+    assert set(want.values()) == {True, False}
 
 
 def test_four_way_agreement_sampled_prime_powers():

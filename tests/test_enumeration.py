@@ -15,7 +15,7 @@ from twistedrs.codes import (
     TwistProfile,
     is_mds_bruteforce,
 )
-from twistedrs import table1
+from twistedrs import enumeration, table1
 from twistedrs.criteria import (
     remark44_bad_eta2,
     remark44_class,
@@ -52,10 +52,11 @@ def test_task_validation():
         EnumTask(2**17, 4, 2)
 
 
-def test_budget_guard():
+def test_budget_guard(monkeypatch):
     task = EnumTask(16, 10, 5)
+    monkeypatch.setattr(enumeration, "ENUM_BUDGET", 10**6)
     with pytest.raises(BudgetExceededError):
-        count_mds_double_twisted(task, budget=10**6)
+        count_mds_double_twisted(task)
 
 
 @pytest.mark.parametrize("q,n,k", [(5, 4, 2), (7, 4, 2)])
@@ -73,18 +74,16 @@ def test_count_upper_bound_and_histogram():
     assert all(0 <= c <= 16 for c in res.per_set.values())
 
 
-def test_regenerate_order_passes_budget_to_counts(monkeypatch):
-    seen = []
-    real = table1.count_mds_double_twisted
-
-    def spy(task, **kw):
-        seen.append(kw.get("budget"))
-        return real(task, **kw)
-
-    monkeypatch.setattr(table1, "count_mds_double_twisted", spy)
-    doc = table1.regenerate_order(5, budget=10**12)
-    assert doc["budget"] == 10**12
-    assert seen and set(seen) == {10**12}
+def test_regenerate_order_skips_the_cells_a_lowered_budget_moves(monkeypatch):
+    """Lowering ENUM_BUDGET once moves the (4, 2) cell (cost 480) of GF(5)
+    under "skipped"; the counts read the same budget, so none raises."""
+    golden = load_golden(str(Path(__file__).resolve().parents[1] / "goldens" / "table1"), 5)
+    monkeypatch.setattr(enumeration, "ENUM_BUDGET", 479)
+    doc = table1.regenerate_order(5)
+    assert doc["budget"] == 479
+    assert doc["skipped"] == [{"n": 4, "k": 2, "cost": 480}]
+    assert doc["cells"] == [c for c in golden["cells"] if (c["n"], c["k"]) != (4, 2)]
+    assert len(doc["cells"]) == 2
 
 
 # -- kernel context and orbit reduction ------------------------------------------

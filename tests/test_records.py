@@ -100,6 +100,7 @@ def _rejects(message, build):
 
 
 def test_field_spec_rules():
+    _rejects("characteristic 1 is not prime", lambda: FieldSpec(1, 2, (1, 1, 1)))
     _rejects("characteristic 4 is not prime", lambda: FieldSpec(4, 2, (1, 1, 1)))
     _rejects("extension degree must be >= 1", lambda: FieldSpec(2, 0, (1,)))
     _rejects("field order 131072 exceeds the 2^16 cap", lambda: FieldSpec(2, 17, (1,) * 18))
