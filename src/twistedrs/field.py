@@ -122,15 +122,16 @@ class FieldSpec(_FieldSpec):
     __slots__ = ()
 
     def __new__(cls, p: int, m: int, modulus: tuple[int, ...]):
-        # the cap comes first, so that no huge p is trial-divided; p^m is
-        # only computed where it is small (3^(10^7) alone takes seconds)
-        if p >= 2 and m >= 1 and (p > 65536 or m > 16 or p**m > 65536):
+        # the degree and the cap come first, so that no huge p is
+        # trial-divided; p^m is only computed where it is small (3^(10^7)
+        # alone takes seconds)
+        if m < 1:
+            raise ValueError("extension degree must be >= 1")
+        if p >= 2 and (p > 65536 or m > 16 or p**m > 65536):
             order = p**m if m * p.bit_length() <= 256 else f"{p}^{m}"
             raise ValueError(f"field order {order} exceeds the 2^16 cap")
         if _prime_factors(p) != [p]:
             raise ValueError(f"characteristic {p} is not prime")
-        if m < 1:
-            raise ValueError("extension degree must be >= 1")
         mod = tuple(int(c) for c in modulus)
         if len(mod) != m + 1 or mod[-1] != 1:
             raise ValueError("modulus must be monic of degree m")

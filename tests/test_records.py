@@ -103,6 +103,7 @@ def test_field_spec_rules():
     _rejects("characteristic 1 is not prime", lambda: FieldSpec(1, 2, (1, 1, 1)))
     _rejects("characteristic 4 is not prime", lambda: FieldSpec(4, 2, (1, 1, 1)))
     _rejects("extension degree must be >= 1", lambda: FieldSpec(2, 0, (1,)))
+    _rejects("extension degree must be >= 1", lambda: FieldSpec(1000000000000000003, 0, (1,)))
     _rejects("field order 131072 exceeds the 2^16 cap", lambda: FieldSpec(2, 17, (1,) * 18))
     _rejects("modulus must be monic of degree m", lambda: FieldSpec(2, 2, (1, 1, 0)))
     _rejects("modulus coefficients must lie in [0, p)", lambda: FieldSpec(3, 2, (4, 0, 1)))
