@@ -40,6 +40,7 @@ from functools import cache, cached_property
 from math import comb
 from typing import Iterator, NamedTuple, Optional
 
+from . import codes
 from .codes import (
     BudgetExceededError,
     LinearCodeView,
@@ -319,9 +320,17 @@ def count_mds_double_twisted(task: EnumTask, histogram: bool = False) -> EnumRes
     The closed form runs on one representative per orbit of evaluation
     sets and weights each tally by its orbit's size; with histogram it
     copies each tally back to every set of the orbit instead.  The
-    brute-force oracle runs on every set.  A task whose cost exceeds
-    ENUM_BUDGET, read at call time, is refused."""
-    if task.cost > ENUM_BUDGET:
+    brute-force oracle runs on every set, walking the k-column minors of
+    each code, so its task.cost k-subsets are refused past
+    codes.DEFAULT_SCAN_BUDGET like every other k-subset scan; a closed-form
+    task whose cost exceeds ENUM_BUDGET is refused.  Both are read at call
+    time."""
+    if task.criterion == "bruteforce":
+        if task.cost > codes.DEFAULT_SCAN_BUDGET:
+            raise BudgetExceededError(
+                f"{task.cost} k-subsets exceed the scan budget {codes.DEFAULT_SCAN_BUDGET}"
+            )
+    elif task.cost > ENUM_BUDGET:
         raise BudgetExceededError(
             f"task cost {task.cost} exceeds the enumeration budget {ENUM_BUDGET}"
         )

@@ -7,7 +7,11 @@ is the multiplicative identity.  Multiplication, inversion and powering go
 through discrete log / antilog tables built from a verified primitive
 element; addition is digit-wise mod p: plain XOR when p == 2, integer
 addition mod p when m == 1, and otherwise lookups in a table of digit-wise
-sums of two chunks of floor(m/2) digits.
+sums of two chunks of floor(m/2) digits.  The row kernels add_scaled and
+dot add the same way, except that for p odd and m > 1 they stay in the
+log domain with Zech's logarithm, 1 + g^d = g^zech[d] (K. Huber, "Some
+comments on Zech's logarithms", IEEE Trans. IT 36, 1990), one table read
+per element in place of a scalar add.
 
 Only fields up to q = 2^16 are supported.  That keeps every table small
 and makes exhaustive element scans cheap, which is what the enumeration
@@ -291,6 +295,12 @@ class Field:
             raise ValueError("primitive element does not generate the field")
         self._exp = exp + exp  # two periods, so mul needs no reduction
         self._log = log
+        # Zech's logarithm, 1 + gamma^d = gamma^zech[d], for the odd-p
+        # extension row kernels: adding 1 steps the lowest base-p digit.  The
+        # sum is 0 only at gamma^d = -1, where the entry is log[0] = -1.  Two
+        # periods, so an index in (-2n, 2n) needs no reduction.
+        zech = [] if p == 2 or m == 1 else [log[x + 1 if (x + 1) % p else x + 1 - p] for x in exp]
+        self._zech = zech + zech
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -340,7 +350,8 @@ class Field:
             return 0
         return self._exp[(self._log[x] * e) % (self.q - 1)]
 
-    # -- row kernels: one call per row, on the same three kinds of add --------
+    # -- row kernels: one call per row; XOR when p == 2, integers mod p when
+    # m == 1, and otherwise Zech's logarithm, x + y = x * (1 + y/x) ----------
 
     def add_scaled(self, xs, c: FieldElement, ys) -> list[FieldElement]:
         """[x + c*y for x, y in zip(xs, ys)]."""
@@ -352,16 +363,38 @@ class Field:
             return [x ^ exp[lc + log[y]] if y else x for x, y in zip(xs, ys)]
         if self.m == 1:
             return [(x + c * y) % p for x, y in zip(xs, ys)]
-        lc, add = log[c], self.add
-        return [add(x, exp[lc + log[y]]) if y else x for x, y in zip(xs, ys)]
+        lc, zech = log[c], self._zech
+        # x + c*y = g^(lx + zech[lc + ly - lx]); that index lies in (-n, 2n)
+        return [
+            (
+                (exp[lx + z] if (z := zech[lc + log[y] - (lx := log[x])]) >= 0 else 0)
+                if x
+                else exp[lc + log[y]]
+            )
+            if y
+            else x
+            for x, y in zip(xs, ys)
+        ]
 
     def dot(self, xs, ys) -> FieldElement:
         """sum(x*y for x, y in zip(xs, ys))."""
-        if self.m == 1 and self.p != 2:
-            return sum(x * y for x, y in zip(xs, ys)) % self.p
-        exp, log = self._exp, self._log
-        terms = [exp[log[x] + log[y]] for x, y in zip(xs, ys) if x and y]
-        return reduce(operator.xor if self.p == 2 else self.add, terms, 0)
+        p, exp, log = self.p, self._exp, self._log
+        if p == 2:
+            return reduce(operator.xor, [exp[log[x] + log[y]] for x, y in zip(xs, ys) if x and y], 0)
+        if self.m == 1:
+            return sum(x * y for x, y in zip(xs, ys)) % p
+        zech, n = self._zech, self.q - 1
+        s = -1  # log of the running sum in [0, n), or -1 while the sum is 0
+        for x, y in zip(xs, ys):
+            if x and y:
+                lt = log[x] + log[y]
+                if s < 0:
+                    s = lt % n
+                elif (z := zech[lt - s]) >= 0:
+                    s = (s + z) % n
+                else:
+                    s = -1
+        return exp[s] if s >= 0 else 0
 
     def prod(self, xs) -> FieldElement:
         return reduce(self.mul, xs, self.one)

@@ -279,6 +279,21 @@ def test_unbounded_exhaustive_search_past_the_scan_budget_exit_code_1(capsys):
     assert code == 0 and doc["count"] == count_mds_double_twisted(EnumTask(7, 5, 3)).total_count
 
 
+def test_bruteforce_count_past_the_scan_budget_exit_code_1_at_once(capsys):
+    # C(16,10) * 15^2 * C(10,5) k-subsets, each code's minors walked in Python
+    start = time.perf_counter()
+    code, doc = run(capsys, "enumerate", "--q", "16", "--n", "10", "--k", "5", "--criterion", "bruteforce")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert doc["error"] == {
+        "type": "BudgetExceededError",
+        "message": "454053600 k-subsets exceed the scan budget 10000000",
+    }
+    # the closed form counts the same cell, as in goldens/table1 (q = 16)
+    code, doc = run(capsys, "enumerate", "--q", "16", "--n", "10", "--k", "5")
+    assert code == 0 and doc["count"] == 39
+
+
 BIG_PRIME = 1000000000000000003
 
 

@@ -15,7 +15,7 @@ from twistedrs.codes import (
     TwistProfile,
     is_mds_bruteforce,
 )
-from twistedrs import enumeration, table1
+from twistedrs import codes, enumeration, table1
 from twistedrs.criteria import (
     remark44_bad_eta2,
     remark44_class,
@@ -57,6 +57,23 @@ def test_budget_guard(monkeypatch):
     monkeypatch.setattr(enumeration, "ENUM_BUDGET", 10**6)
     with pytest.raises(BudgetExceededError):
         count_mds_double_twisted(task)
+
+
+def test_bruteforce_count_refused_past_the_scan_budget(monkeypatch):
+    """The brute-force count walks the k-column minors of every code, so its
+    C(q,n) (q-1)^2 C(n,k) k-subsets meet the scan budget, read at call time,
+    before any set is built."""
+    with pytest.raises(BudgetExceededError, match="^454053600 k-subsets exceed the scan budget 10000000$"):
+        count_mds_double_twisted(EnumTask(16, 10, 5, "bruteforce"))
+    task = EnumTask(7, 5, 3, "bruteforce")
+    assert task.cost == 7560
+    monkeypatch.setattr(codes, "DEFAULT_SCAN_BUDGET", 7559)
+    with pytest.raises(BudgetExceededError, match="^7560 k-subsets exceed the scan budget 7559$"):
+        count_mds_double_twisted(task)
+    # the closed form keeps its own budget
+    assert count_mds_double_twisted(EnumTask(7, 5, 3)).total_count == 186
+    monkeypatch.setattr(codes, "DEFAULT_SCAN_BUDGET", 7560)
+    assert count_mds_double_twisted(task).total_count == 186
 
 
 @pytest.mark.parametrize("q,n,k", [(5, 4, 2), (7, 4, 2)])

@@ -267,8 +267,10 @@ def test_add_neg_sub_sampled_large(q):
     rng = random.Random(q + 1)
     pairs = [(rng.randrange(q), rng.randrange(q)) for _ in range(2000)]
     _check_add(ctx, pairs)
-    # no lookup table holds more than q entries, and the state pickles
+    # no lookup table holds more than q entries, Zech's table two periods of
+    # q - 1, and the state pickles
     assert len(ctx._add_table) ** 2 <= q and len(ctx._neg) <= q
+    assert len(ctx._zech) <= 2 * (q - 1)
     twin = pickle.loads(pickle.dumps(ctx))
     assert [twin.add(x, y) for x, y in pairs] == [ctx.add(x, y) for x, y in pairs]
 
@@ -287,7 +289,7 @@ def _check_row_kernels(ctx, rows, scalars):
             assert got == want and got is not xs
 
 
-@pytest.mark.parametrize("q", [2, 4, 5, 9, 16])
+@pytest.mark.parametrize("q", [2, 4, 5, 9, 16, 25, 27])
 def test_row_kernels_exhaustive(q):
     ctx = Field.of_order(q)
     every = range(q)
@@ -308,6 +310,38 @@ def test_row_kernels_sampled(q):
         size = rng.randint(1, 12)
         rows.append(tuple([rng.randrange(q) for _ in range(size)] for _ in range(2)))
     _check_row_kernels(ctx, rows, [0, 1, q - 1] + [rng.randrange(1, q) for _ in range(5)])
+
+
+@pytest.mark.parametrize("q", [81, 6561, 15625])
+def test_row_kernels_cancel_through_the_zech_sentinel(q):
+    """x + c*y = 0 reads the entry of Zech's table at gamma^d = -1, the only
+    sum that is 0.  With n = q - 1 its index log c + log y - log x is -n/2,
+    n/2 or 3n/2 as log c + log y lies below n/2, below 3n/2 or above, so
+    every case is drawn; in dot the first two terms cancel, and the sum
+    restarts from 0 on the rest of the row."""
+    ctx = Field.of_order(q)
+    n = q - 1
+    assert len(ctx._zech) <= 2 * n and ctx._zech.count(-1) == 2
+    rng = random.Random(q + 3)
+    cases = []
+    for lo, hi in ((0, n // 2 - 1), (n // 2, 3 * n // 2 - 1), (3 * n // 2, 2 * n - 2)):
+        for _ in range(20):
+            t = rng.randint(lo, hi)
+            lc = rng.randint(max(0, t - (n - 1)), min(n - 1, t))
+            c, y = ctx.pow(ctx.gamma, lc), ctx.pow(ctx.gamma, t - lc)
+            cases.append((ctx.neg(ctx.mul(c, y)), c, y))
+    log = ctx._log
+    assert {log[c] + log[y] - log[x] for x, c, y in cases} == {-n // 2, n // 2, 3 * n // 2}
+    twin = pickle.loads(pickle.dumps(ctx))
+    for x, c, y in cases:
+        assert ctx.add_scaled([x], c, [y]) == [0]
+        assert ctx.dot([x, c], [1, y]) == 0
+        tail = [[rng.randrange(q) for _ in range(6)] for _ in range(2)]
+        rows = [([x] + tail[0], [y] + tail[1]), ([x, c] + tail[0], [1, y] + tail[1])]
+        _check_row_kernels(ctx, rows, [c])
+        for xs, ys in rows:
+            assert twin.add_scaled(xs, c, ys) == ctx.add_scaled(xs, c, ys)
+            assert twin.dot(xs, ys) == ctx.dot(xs, ys)
 
 
 @pytest.mark.parametrize("q", [4096, 65536])
