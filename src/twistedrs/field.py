@@ -366,13 +366,10 @@ class Field:
         lc, zech = log[c], self._zech
         # x + c*y = g^(lx + zech[lc + ly - lx]); that index lies in (-n, 2n)
         return [
-            (
-                (exp[lx + z] if (z := zech[lc + log[y] - (lx := log[x])]) >= 0 else 0)
-                if x
-                else exp[lc + log[y]]
-            )
-            if y
-            else x
+            x if not y
+            else exp[lc + log[y]] if not x
+            else exp[lx + z] if (z := zech[lc + log[y] - (lx := log[x])]) >= 0
+            else 0
             for x, y in zip(xs, ys)
         ]
 
