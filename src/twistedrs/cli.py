@@ -39,6 +39,9 @@ def _ints(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",")) if text else ()
 
 
+_ELEMENTS = "comma-separated polynomials in a with coefficients below p, e.g. 1,a,a^2+1"
+
+
 def _field_from_args(args) -> Field:
     if args.q is None:
         raise ValueError("give --q (optionally --modulus)")
@@ -68,11 +71,11 @@ def _add_field_flags(p):
 def _add_code_flags(p):
     p.add_argument("--profile", help="code profile JSON file")
     _add_field_flags(p)
-    p.add_argument("--alpha", help="comma-separated evaluation points")
+    p.add_argument("--alpha", help=f"evaluation points: {_ELEMENTS}")
     p.add_argument("--k", type=int)
     p.add_argument("--t", help="comma-separated twists")
     p.add_argument("--h", help="comma-separated hooks")
-    p.add_argument("--eta", help="comma-separated twist coefficients")
+    p.add_argument("--eta", help=f"twist coefficients: {_ELEMENTS}")
 
 
 def _verdict_doc(verdict, seconds):
@@ -264,17 +267,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--k", type=int, required=True)
         p.add_argument("--t", required=True)
         p.add_argument("--h", required=True)
-        p.add_argument("--eta", required=True)
+        p.add_argument("--eta", required=True, help=f"twist coefficients: {_ELEMENTS}")
         p.set_defaults(fn=_cmd_construct, construct=construct)
 
     p = sub.add_parser("subfield-construct", help="guaranteed-MDS subfield-chain code")
     _add_field_flags(p)
     p.add_argument("--chain", required=True, help="subfield orders q0,q1,...,q")
-    p.add_argument("--alpha", required=True)
+    p.add_argument("--alpha", required=True, help=f"evaluation points: {_ELEMENTS}")
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", required=True)
     p.add_argument("--h", required=True)
-    p.add_argument("--eta", required=True)
+    p.add_argument("--eta", required=True, help=f"twist coefficients: {_ELEMENTS}")
     p.set_defaults(fn=_cmd_subfield_construct)
 
     p = sub.add_parser("enumerate", help="count MDS double-twisted codes")
@@ -291,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--t", default="1,2", help="comma-separated twists (\"\" for none)")
     p.add_argument("--h", default="0,1", help="comma-separated hooks (\"\" for none)")
-    p.add_argument("--alpha", help="fix the evaluation vector")
+    p.add_argument("--alpha", help=f"fix the evaluation vector: {_ELEMENTS}")
     p.add_argument("--strategy", default="exhaustive", choices=["exhaustive", "random"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1000)

@@ -101,9 +101,9 @@ class EnumResult(NamedTuple):
 
 class _FieldKernel:
     """What counting needs for one field order, built once per process:
-    the default field, its dense numpy add/mul/neg/inv tables, the bad
-    eta pairs of every (u, v) class and the orbit keys of evaluation sets.
-    Only the spec is built eagerly, so creating one validates q cheaply."""
+    the default field, its dense numpy add/mul/neg/inv tables and the bad
+    eta pairs of every (u, v) class.  Only the spec is built eagerly, so
+    creating one validates q cheaply."""
 
     def __init__(self, q: int):
         import numpy as np
@@ -151,50 +151,6 @@ class _FieldKernel:
             bad_eta2[u] = mul[neg[const], inv[slope]]  # inv[0] = 0
         return bad_eta2.reshape(q * q, q - 1)
 
-    def orbits(self, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(first, inverse) for the orbits of the rows of sets, every sorted
-        n-subset once, under the maps x -> c * x^(p^j): sets[first] holds
-        one representative per orbit and inverse maps each set to its orbit.
-
-        Sets are numbered by colex rank, a bijection onto [0, C(q, n)), so
-        the key of a set, the least rank of its images, is an exact int64
-        for every q.  The generators x -> gamma * x and x -> x^p act on the
-        ranks as two permutations built once; the key is then a running
-        minimum over the group, one element at a time."""
-        import numpy as np
-        q, p, m = self.q, self.spec.p, self.spec.m
-        n = sets.shape[1]
-        total = comb(q, n)
-        # binom[a, i] = C(a, i + 1); the entries a rank can use are below C(q, n)
-        binom = np.array(
-            [[min(comb(a, i + 1), total) for i in range(n)] for a in range(q)], np.int64
-        )
-        cols = np.arange(n)
-        ctx = self.field
-
-        def ranks(image) -> np.ndarray:
-            # image[x] is the image of element x; every map fixes 0
-            img = np.array(image, self.dtype)[sets]
-            img.sort(axis=1)
-            return binom[img, cols].sum(axis=1)
-
-        rank = ranks(range(q))
-        scale = np.empty(total, np.int64)
-        scale[rank] = ranks([ctx.mul(ctx.gamma, x) for x in range(q)])
-        frob = np.empty(total, np.int64)
-        frob[rank] = ranks([ctx.pow(x, p) for x in range(q)])
-        base = np.arange(total)
-        least = base.copy()
-        for _ in range(m):
-            cur = base
-            for _ in range(q - 2):
-                cur = scale[cur]
-                np.minimum(least, cur, out=least)
-            base = frob[base]
-            np.minimum(least, base, out=least)
-        _, first, inverse = np.unique(least[rank], return_index=True, return_inverse=True)
-        return first, inverse
-
 
 @cache
 def _kernel(q: int) -> _FieldKernel:
@@ -213,14 +169,49 @@ def _all_sets(kern: _FieldKernel, n: int) -> np.ndarray:
 @cache
 def _orbit_reps(q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     """(reps, sizes): one n-subset of GF(q) per orbit under the maps
-    x -> c * x^(p^j), in the order of kern.orbits, and the size of each
-    orbit.  Built once per (q, n); neither array has C(q, n) rows, and
-    both are read-only because every caller shares them."""
+    x -> c * x^(p^j), and the size of each orbit.  Built once per (q, n);
+    neither array has C(q, n) rows, and both are read-only because every
+    caller shares them.
+
+    Sets are numbered by colex rank, a bijection onto [0, C(q, n)), so the
+    key of a set, the least rank of its images, is an exact int64 for
+    every q.  The generators x -> gamma * x and x -> x^p act on the ranks
+    as two permutations built once; the key is then a running minimum over
+    the group, one element at a time.  The representatives come in key
+    order, each the lexicographically least set of its orbit."""
     import numpy as np
     kern = _kernel(q)
     sets = _all_sets(kern, n)
-    first, inverse = kern.orbits(sets)
-    reps, sizes = sets[first], np.bincount(inverse)
+    p, m, ctx = kern.spec.p, kern.spec.m, kern.field
+    total = comb(q, n)
+    # binom[a, i] = C(a, i + 1); the entries a rank can use are below C(q, n)
+    binom = np.array(
+        [[min(comb(a, i + 1), total) for i in range(n)] for a in range(q)], np.int64
+    )
+    cols = np.arange(n)
+
+    def ranks(image) -> np.ndarray:
+        # image[x] is the image of element x; every map fixes 0
+        img = np.array(image, kern.dtype)[sets]
+        img.sort(axis=1)
+        return binom[img, cols].sum(axis=1)
+
+    rank = ranks(range(q))
+    scale = np.empty(total, np.int64)
+    scale[rank] = ranks([ctx.mul(ctx.gamma, x) for x in range(q)])
+    frob = np.empty(total, np.int64)
+    frob[rank] = ranks([ctx.pow(x, p) for x in range(q)])
+    base = np.arange(total)
+    least = base.copy()
+    for _ in range(m):
+        cur = base
+        for _ in range(q - 2):
+            cur = scale[cur]
+            np.minimum(least, cur, out=least)
+        base = frob[base]
+        np.minimum(least, base, out=least)
+    _, first, sizes = np.unique(least[rank], return_index=True, return_counts=True)
+    reps = sets[first]
     reps.setflags(write=False)
     sizes.setflags(write=False)
     return reps, sizes
@@ -318,13 +309,12 @@ def count_mds_double_twisted(task: EnumTask, histogram: bool = False) -> EnumRes
     double-twisted code with twists (1, 2) and hooks (0, 1).
 
     The closed form runs on one representative per orbit of evaluation
-    sets and weights each tally by its orbit's size; with histogram it
-    copies each tally back to every set of the orbit instead.  The
-    brute-force oracle runs on every set, walking the k-column minors of
-    each code, so its task.cost k-subsets are refused past
-    codes.DEFAULT_SCAN_BUDGET like every other k-subset scan; a closed-form
-    task whose cost exceeds ENUM_BUDGET is refused.  Both are read at call
-    time."""
+    sets (_orbit_reps) and weights each tally by its orbit's size; with
+    histogram it tallies every set itself instead.  The brute-force
+    oracle runs on every set, walking the k-column minors of each code,
+    so its task.cost k-subsets are refused past codes.DEFAULT_SCAN_BUDGET
+    like every other k-subset scan; a closed-form task whose cost exceeds
+    ENUM_BUDGET is refused.  Both are read at call time."""
     if task.criterion == "bruteforce":
         if task.cost > codes.DEFAULT_SCAN_BUDGET:
             raise BudgetExceededError(
@@ -338,17 +328,13 @@ def count_mds_double_twisted(task: EnumTask, histogram: bool = False) -> EnumRes
     start = time.perf_counter()
     q, n, k = task.q, task.n, task.k
     kern = _kernel(q)
-    sets = inverse = sizes = None
+    if histogram or task.criterion == "bruteforce":
+        sets, sizes = _all_sets(kern, n), None
+    else:
+        sets, sizes = _orbit_reps(q, n)
     if task.criterion == "bruteforce":
-        sets = _all_sets(kern, n)
         tallies = np.array([_bruteforce_set_count(kern.field, n, k, s) for s in sets.tolist()], np.int64)
     else:
-        if histogram:
-            sets = _all_sets(kern, n)
-            first, inverse = kern.orbits(sets)
-            work = sets[first]
-        else:
-            work, sizes = _orbit_reps(q, n)
         sk = min(_SUBSET_CHUNK, comb(n, k))
         # keep one chunk's (B, S, k) value tensor, the (B, q*q) class presence
         # and bad pair arrays and the (pairs, q-1) scatter index small; a set
@@ -358,10 +344,8 @@ def count_mds_double_twisted(task: EnumTask, histogram: bool = False) -> EnumRes
             min(4_000_000 // (sk * k), 8_000_000 // (q * q), 1_000_000 // (min(sk, q * q) * (q - 1))),
         )
         tallies = np.concatenate(
-            [_remark44_set_counts(kern, n, k, work[i : i + batch]) for i in range(0, len(work), batch)]
+            [_remark44_set_counts(kern, n, k, sets[i : i + batch]) for i in range(0, len(sets), batch)]
         )
-    if inverse is not None:
-        tallies = tallies[inverse]
     total = int(tallies.sum() if sizes is None else tallies @ sizes)
     per_set = dict(zip(map(tuple, sets.tolist()), tallies.tolist())) if histogram else None
     assert total <= comb(q, n) * (q - 1) ** 2

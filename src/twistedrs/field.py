@@ -466,6 +466,16 @@ class Field:
         return out
 
     def parse_vector(self, items) -> tuple[FieldElement, ...]:
+        """A string item is a polynomial in a (parse), any other item an
+        element index.  A string that is a bare integer >= p is refused, as
+        it reads as a constant mod p where an index may be meant."""
+        for s in items:
+            if isinstance(s, str) and s.strip().isdecimal() and int(s) >= self.p:
+                raise ValueError(
+                    f"element string {s.strip()!r} is the constant {int(s)} mod {self.p} = "
+                    f"{int(s) % self.p} as a polynomial in a, not the element index {int(s)}; "
+                    f"write it as a polynomial in a with coefficients below {self.p}"
+                )
         return tuple(self.parse(s) if isinstance(s, str) else int(s) for s in items)
 
     def __repr__(self):

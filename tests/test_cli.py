@@ -238,6 +238,29 @@ def test_search_repeated_alpha_exit_code_1(capsys):
     assert doc["error"]["type"] == "ValueError"
     assert "distinct" in doc["error"]["message"]
 
+@pytest.mark.parametrize(
+    "alpha,eta,bad",
+    [("0,1,a,a^2,a+1", "7,3", 7), ("0,5,10,a,a+1", "1,3", 5)],
+)
+def test_element_string_at_least_p_exit_code_1(capsys, alpha, eta, bad):
+    # over GF(25) the item "7" would read as the constant 2, and "0,5,10"
+    # as the repeated points 0, 0, 0
+    code, doc = run(
+        capsys, "check-mds", "--q", "25", "--alpha", alpha, "--k", "3",
+        "--t", "1,2", "--h", "0,1", "--eta", eta,
+    )
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+    message = doc["error"]["message"]
+    assert f"constant {bad} mod 5 = {bad % 5}" in message and f"element index {bad}" in message
+
+
+def test_element_flags_help_says_polynomials_in_a(capsys):
+    with pytest.raises(SystemExit):
+        cli_main(["check-mds", "--help"])
+    assert " ".join(capsys.readouterr().out.split()).count("polynomials in a") == 2
+
+
 @pytest.mark.parametrize("alpha", [(), ("--alpha", ",".join(map(str, range(1, 41))))])
 def test_search_past_the_scan_budget_exit_code_1(capsys, alpha):
     code, doc = run(capsys, "search", "--q", "41", "--n", "40", "--k", "20", "--limit", "1", *alpha)

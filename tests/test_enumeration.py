@@ -244,6 +244,27 @@ def test_saturation_exit_matches_scalar_oracle(q, n, k, sets):
     assert tallies.tolist() == oracle
 
 
+def _group_images(ctx):
+    """image[x] for every map x -> c * x^(p^j), c nonzero, 0 <= j < m."""
+    return [
+        [ctx.mul(c, ctx.pow(x, ctx.p**j)) for x in range(ctx.q)]
+        for c in range(1, ctx.q)
+        for j in range(ctx.m)
+    ]
+
+
+def _scalar_orbits(ctx, n):
+    """{least sorted image: orbit size} over every n-subset of GF(q), each
+    orbit found by applying every group element to its first set."""
+    images, seen, sizes = _group_images(ctx), set(), {}
+    for s in itertools.combinations(range(ctx.q), n):
+        if s not in seen:
+            orbit = {tuple(sorted(img[x] for x in s)) for img in images}
+            seen |= orbit
+            sizes[min(orbit)] = len(orbit)
+    return images, sizes
+
+
 @pytest.mark.parametrize(
     "q,n,k",
     [
@@ -252,15 +273,18 @@ def test_saturation_exit_matches_scalar_oracle(q, n, k, sets):
     ],
 )
 def test_orbit_reduced_count_matches_every_set(q, n, k):
-    kern = _kernel(q)
-    sets = _all_sets(kern, n)
-    unreduced = _remark44_set_counts(kern, n, k, sets)
+    ctx = Field.of_order(q)
     res = count_mds_double_twisted(EnumTask(q, n, k), histogram=True)
-    assert res.per_set == dict(zip(map(tuple, sets.tolist()), unreduced.tolist()))
-    assert res.total_count == int(unreduced.sum())
-    # without the histogram each representative's tally is weighted by the
-    # size of its orbit
+    assert list(res.per_set) == list(itertools.combinations(range(q), n))
+    assert res.total_count == sum(res.per_set.values())
+    # the histogram tallies every set and the count weights each orbit
+    # representative's tally by its orbit size: two independent computations
     assert count_mds_double_twisted(EnumTask(q, n, k)).total_count == res.total_count
+    # so every set's own tally must equal its images' under the generators
+    for image in ([ctx.mul(ctx.gamma, x) for x in range(q)], [ctx.pow(x, ctx.p) for x in range(q)]):
+        assert all(
+            res.per_set[tuple(sorted(image[x] for x in s))] == tally for s, tally in res.per_set.items()
+        )
 
 
 @pytest.mark.parametrize(
@@ -268,18 +292,35 @@ def test_orbit_reduced_count_matches_every_set(q, n, k):
     [(16, 7, 206), (17, 5, 389), (16, 5, 83), (9, 6, 8), (25, 4, 285), (27, 4, 234)],
 )
 def test_orbit_counts(q, n, orbits):
-    kern = _kernel(q)
-    sets = _all_sets(kern, n)
-    first, inverse = kern.orbits(sets)
-    assert len(first) == orbits
-    assert (inverse[first] == range(orbits)).all()
+    images, oracle = _scalar_orbits(Field.of_order(q), n)
     reps, sizes = cached = _orbit_reps(q, n)
-    assert (reps == sets[first]).all()
-    assert sizes.tolist() == np.bincount(inverse).tolist()
+    assert len(oracle) == orbits
+    assert sorted(oracle.values()) == sorted(sizes.tolist())
     assert int(sizes.sum()) == comb(q, n)
+    # each representative is the lexicographically least set of its own
+    # orbit, one per orbit, with that orbit's size
+    keys = [min(tuple(sorted(img[x] for x in rep)) for img in images) for rep in reps.tolist()]
+    assert [tuple(rep) for rep in reps.tolist()] == keys and len(set(keys)) == orbits
+    assert [oracle[key] for key in keys] == sizes.tolist()
     assert all(a is b for a, b in zip(_orbit_reps(q, n), cached))
     # the cache keeps one row per orbit, never one per set
     assert all(len(a) == orbits < comb(q, n) and not a.flags.writeable for a in cached)
+
+
+def test_count_lists_every_set_only_for_the_histogram(monkeypatch):
+    calls = []
+
+    def counting(kern, n):
+        calls.append(n)
+        return _all_sets(kern, n)
+
+    _orbit_reps(16, 7)  # warm the cache
+    monkeypatch.setattr(enumeration, "_all_sets", counting)
+    closed_form = count_mds_double_twisted(EnumTask(16, 7, 3))
+    assert calls == []
+    histogram = count_mds_double_twisted(EnumTask(16, 7, 3), histogram=True)
+    assert calls == [7]
+    assert histogram.total_count == closed_form.total_count
 
 
 def test_translation_changes_tallies():

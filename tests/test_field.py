@@ -418,6 +418,24 @@ def test_parse_errors(f16):
             f16.parse(bad)
 
 
+def test_parse_vector_refuses_a_bare_integer_at_least_p():
+    # a string item is a polynomial in a, so "7" over GF(25) would be the
+    # constant 2, not the element with index 7
+    f25 = Field.of_order(25)
+    for bad in ("7", " 5", "10"):
+        with pytest.raises(ValueError) as err:
+            f25.parse_vector(["1", bad])
+        c = int(bad)
+        assert f"constant {c} mod 5 = {c % 5}" in str(err.value)
+        assert f"element index {c}" in str(err.value)
+    with pytest.raises(ValueError, match="constant 7 mod 7 = 0"):
+        Field.of_order(7).parse_vector(["7"])
+    # below p, a polynomial term or an integer item keeps its reading
+    assert f25.parse_vector(["4", "7*a + 2", 7, "a^7"]) == (
+        4, f25.parse("2*a + 2"), 7, f25.pow(f25.a, 7)
+    )
+
+
 def test_format_parse_round_trip_all_elements(f16, f81):
     for ctx in (f16, f81):
         for x in range(ctx.q):
