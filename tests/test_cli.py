@@ -238,6 +238,7 @@ def test_search_repeated_alpha_exit_code_1(capsys):
     assert doc["error"]["type"] == "ValueError"
     assert "distinct" in doc["error"]["message"]
 
+
 @pytest.mark.parametrize(
     "alpha,eta,bad",
     [("0,1,a,a^2,a+1", "7,3", 7), ("0,5,10,a,a+1", "1,3", 5)],

@@ -430,7 +430,8 @@ def test_parse_vector_refuses_a_bare_integer_at_least_p():
         assert f"element index {c}" in str(err.value)
     with pytest.raises(ValueError, match="constant 7 mod 7 = 0"):
         Field.of_order(7).parse_vector(["7"])
-    # below p, a polynomial term or an integer item keeps its reading
+    # a bare integer below p, a polynomial (its coefficients reduced mod p)
+    # and an integer index keep their readings
     assert f25.parse_vector(["4", "7*a + 2", 7, "a^7"]) == (
         4, f25.parse("2*a + 2"), 7, f25.pow(f25.a, 7)
     )
