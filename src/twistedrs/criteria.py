@@ -36,69 +36,105 @@ def elem_sym(ctx: Field, values) -> list[FieldElement]:
     return e
 
 
+def _elem_sym_walk(
+    ctx: Field, values, k: int
+) -> Iterator[tuple[tuple[int, ...], list[FieldElement]]]:
+    """Each k-subset of positions in values, in lexicographic order, with
+    the elementary symmetric polynomials e_0..e_k of its values.
+
+    One depth-first walk keeps e of every prefix, so appending a value x
+    is one row step, e'_j = e_j + x e_(j-1), instead of a fresh elem_sym."""
+    n = len(values)
+    prefix, stack = [], [[ctx.one]]  # stack[d]: e of the first d values of prefix
+    j = 0
+    while True:
+        if len(prefix) == k:
+            yield tuple(prefix), stack[-1]
+        elif j <= n - k + len(prefix):
+            e = stack[-1]
+            stack.append(ctx.add_scaled(e + [0], values[j], [0] + e))
+            prefix.append(j)
+            j += 1
+            continue
+        if not prefix:
+            return
+        j = prefix.pop() + 1
+        stack.pop()
+
+
 def sigma_coeffs(ctx: Field, alphas) -> list[FieldElement]:
     """Ascending coefficients of the monic product of (x - a) over alphas:
-    sigma_i = (-1)^(n-i) e_(n-i) for n = len(alphas).
+    sigma_i = (-1)^(n-i) e_(n-i) for n = len(alphas), so sigma read from
+    the top is e of the negated alphas.
 
     Length n + 1; callers index out-of-range sigmas as zero.
     """
-    e = elem_sym(ctx, alphas)
-    return [e[j] if j % 2 == 0 else ctx.neg(e[j]) for j in range(len(e) - 1, -1, -1)]
+    return elem_sym(ctx, [ctx.neg(a) for a in alphas])[::-1]
 
 
-def _sigma_at(sigma: list[FieldElement], i: int) -> FieldElement:
-    return sigma[i] if 0 <= i < len(sigma) else 0
+def _system_rows(code: MultiTwistedCode):
+    """The rows of the subset system as a function of one k-subset's e,
+    the elementary symmetric polynomials of its negated points (e_m is
+    sigma_(k-m)); columns are g_0..g_{t_ell-1}.
+
+    One row per missing high coefficient (degrees k..k+t_ell-2 that carry
+    no twist), plus one row per twist s equating the twist coefficient
+    eta_s * a_{h_s} with its expansion.  The code's layout is read here,
+    once, into the position of each entry's sigma in e padded with t_ell
+    zeros on each side."""
+    ctx, pr = code.ctx, code.profile
+    if pr.ell == 0:
+        raise ValueError("criterion undefined for plain RS (it is always MDS)")
+    k, tl = pr.k, pr.t[-1]
+    pad = [0] * tl
+
+    def at(i):  # sigma_i, zero outside 0..k, sits at padded[at(i)]
+        return tl + k - i
+
+    twist_degrees = {k + ts - 1 for ts in pr.t[:-1]}
+    plain = [[at(i - j) for j in range(tl)] for i in range(k, k + tl - 1) if i not in twist_degrees]
+    # twist row: eta_s^-1 sigma_(k-j+t_s-1) [j >= t_s - 1] - sigma_(h_s-j) [j <= h_s]
+    twists = [
+        (ctx.inv(es), [(at(k - j + ts - 1), at(hs - j)) for j in range(tl)])
+        for ts, hs, es in zip(pr.t, pr.h, pr.eta)
+    ]
+
+    def rows(e):
+        s = pad + e + pad
+        return [[s[a] for a in idx] for idx in plain] + [
+            [ctx.sub(ctx.mul(inv_e, s[a]), s[b]) for a, b in idx] for inv_e, idx in twists
+        ]
+
+    return rows
 
 
 def mds_system_matrix(code: MultiTwistedCode, subset) -> Matrix:
     """Coefficient matrix of the homogeneous system a k-rooted codeword
-    polynomial would have to solve; columns are g_0..g_{t_ell-1}.
-
-    One row per missing high coefficient (degrees k..k+t_ell-2 that carry
-    no twist), plus one row per twist s equating the twist coefficient
-    eta_s * a_{h_s} with its expansion.  Nonsingular for every k-subset of
-    evaluation points iff the code is MDS.
+    polynomial would have to solve (rows as _system_rows lays them out).
+    Nonsingular for every k-subset of evaluation points iff the code is MDS.
     """
-    ctx, pr = code.ctx, code.profile
-    if pr.ell == 0:
-        raise ValueError("criterion undefined for plain RS (it is always MDS)")
+    rows = _system_rows(code)
     subset = tuple(subset)
-    if len(subset) != pr.k:
-        raise ValueError(f"subset size {len(subset)} != k = {pr.k}")
-    k, tl = pr.k, pr.t[-1]
-    sigma = sigma_coeffs(ctx, [code.alpha[i] for i in subset])
-    rows = []
-    twist_degrees = {k + ts - 1 for ts in pr.t[:-1]}
-    for i in range(k, k + tl - 1):
-        if i in twist_degrees:
-            continue
-        rows.append([_sigma_at(sigma, i - j) for j in range(tl)])
-    for ts, hs, es in zip(pr.t, pr.h, pr.eta):
-        inv_e = ctx.inv(es)
-        row = []
-        for j in range(tl):
-            val = 0
-            if j >= ts - 1:
-                val = ctx.mul(inv_e, _sigma_at(sigma, k - (j - (ts - 1))))
-            if j <= hs:
-                val = ctx.sub(val, _sigma_at(sigma, hs - j))
-            row.append(val)
-        rows.append(row)
-    return Matrix(ctx, rows)
+    if len(subset) != code.profile.k:
+        raise ValueError(f"subset size {len(subset)} != k = {code.profile.k}")
+    ctx = code.ctx
+    return Matrix(ctx, rows(elem_sym(ctx, [ctx.neg(code.alpha[i]) for i in subset])))
 
 
 def theorem31_is_mds(code: MultiTwistedCode) -> MdsVerdict:
     """MDS iff the subset system is nonsingular for every k-subset.
 
-    Plain RS (no twists) short-circuits to MDS.  Subsets are scanned in
-    lexicographic order so the first witness is deterministic.
+    Plain RS (no twists) short-circuits to MDS.  One lexicographic walk
+    over the k-subsets of negated points gives each subset's e, so the
+    first singular system is the lex-first witness.
     """
     pr = code.profile
     if pr.ell == 0:
         return MdsVerdict(True, "theorem31")
     check_subset_budget(code.n, pr.k)
-    for subset in itertools.combinations(range(code.n), pr.k):
-        if not mds_system_matrix(code, subset).is_nonsingular():
+    ctx, rows = code.ctx, _system_rows(code)
+    for subset, e in _elem_sym_walk(ctx, [ctx.neg(a) for a in code.alpha], pr.k):
+        if not Matrix(ctx, rows(e)).is_nonsingular():
             return MdsVerdict(False, "theorem31", subset)
     return MdsVerdict(True, "theorem31")
 
@@ -145,10 +181,6 @@ def subfield_chain_construct(ctx: Field, chain, alpha, k, t, h, eta) -> MultiTwi
 # -- double-twist layout: closed-form conditions -----------------------------
 
 
-def _nonzero_positions(alpha) -> list[int]:
-    return [i for i, x in enumerate(alpha) if x != 0]
-
-
 def _eta1_exclusions(ctx: Field, e: list[FieldElement], k: int, eta2: FieldElement):
     """The eta1 values a k-subset of nonzero points, with elementary
     symmetric polynomials e, excludes at eta2: the product condition
@@ -163,13 +195,12 @@ def _eta1_exclusions(ctx: Field, e: list[FieldElement], k: int, eta2: FieldEleme
     return base, ctx.div(ctx.add(ctx.mul(e[k - 1], e[1]), w), ctx.mul(sign_k, ctx.mul(e[k], w)))
 
 
-def _eta2_exclusion(ctx: Field, vals) -> FieldElement | None:
-    """(-1)^(k-1) / (e_1 e_{k-1}) for a (k-1)-subset of nonzero values, or
-    None when its sum e_1 is zero."""
-    e = elem_sym(ctx, vals)
+def _eta2_exclusion(ctx: Field, e: list[FieldElement]) -> FieldElement | None:
+    """(-1)^(k-1) / (e_1 e_{k-1}) for a (k-1)-subset of nonzero values with
+    elementary symmetric polynomials e, or None when its sum e_1 is zero."""
     if e[1] == 0:
         return None
-    return ctx.mul(ctx.sign(len(vals)), ctx.inv(ctx.mul(e[1], e[-1])))
+    return ctx.mul(ctx.sign(len(e) - 1), ctx.inv(ctx.mul(e[1], e[-1])))
 
 
 def forbidden_eta_sets(ctx: Field, alpha, k: int, eta2: FieldElement):
@@ -183,13 +214,12 @@ def forbidden_eta_sets(ctx: Field, alpha, k: int, eta2: FieldElement):
     eta2 set collects (-1)^(k-1) / (sum * prod) over (k-1)-subsets of
     nonzero points with nonzero sum.
     """
-    alpha = tuple(alpha)
-    nz = [alpha[i] for i in _nonzero_positions(alpha)]
+    nz = [x for x in alpha if x != 0]
     eta1_excl, eta2_excl = set(), set()
-    for vals in itertools.combinations(nz, k):
-        eta1_excl.update(_eta1_exclusions(ctx, elem_sym(ctx, vals), k, eta2))
+    for _, e in _elem_sym_walk(ctx, nz, k):
+        eta1_excl.update(_eta1_exclusions(ctx, e, k, eta2))
     if k >= 2:
-        eta2_excl.update(_eta2_exclusion(ctx, vals) for vals in itertools.combinations(nz, k - 1))
+        eta2_excl.update(_eta2_exclusion(ctx, e) for _, e in _elem_sym_walk(ctx, nz, k - 1))
     return frozenset(eta1_excl - {None}), frozenset(eta2_excl - {None})
 
 
@@ -293,23 +323,26 @@ def theorem42_is_mds(ctx: Field, alpha, k: int, eta1, eta2) -> MdsVerdict:
     tests.
     """
     alpha = _double_twist_points(ctx, alpha, k, eta1, eta2)
-    nz_idx = _nonzero_positions(alpha)
-    has_zero = len(nz_idx) < len(alpha)
-    for subset in itertools.combinations(nz_idx, k):
-        e = elem_sym(ctx, [alpha[i] for i in subset])
+    nz_idx = [i for i, x in enumerate(alpha) if x != 0]
+    nz, has_zero = [alpha[i] for i in nz_idx], len(nz_idx) < len(alpha)
+
+    def witness(pos):
+        return MdsVerdict(False, "theorem42", tuple(nz_idx[i] for i in pos))
+
+    for pos, e in _elem_sym_walk(ctx, nz, k):
         base, rational = _eta1_exclusions(ctx, e, k, eta2)
         if e[k - 1] == 0 and eta1 == base:
-            return MdsVerdict(False, "theorem42", subset)
+            return witness(pos)
         if rational is not None:
             if eta1 == rational:
-                return MdsVerdict(False, "theorem42", subset)
+                return witness(pos)
         else:  # eta2 = base
             if e[k - 1] == 0 and e[1] != 0:
-                return MdsVerdict(False, "theorem42", subset)
+                return witness(pos)
             if not has_zero and e[1] == 0:
-                return MdsVerdict(False, "theorem42", subset)
+                return witness(pos)
     if has_zero:
-        for subset in itertools.combinations(nz_idx, k - 1):
-            if eta2 == _eta2_exclusion(ctx, [alpha[i] for i in subset]):
-                return MdsVerdict(False, "theorem42", subset)
+        for pos, e in _elem_sym_walk(ctx, nz, k - 1):
+            if eta2 == _eta2_exclusion(ctx, e):
+                return witness(pos)
     return MdsVerdict(True, "theorem42")

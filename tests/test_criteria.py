@@ -11,11 +11,13 @@ from twistedrs import codes
 from twistedrs.codes import (
     BudgetExceededError,
     LinearCodeView,
+    MdsVerdict,
     MultiTwistedCode,
     TwistProfile,
     is_mds_bruteforce,
 )
 from twistedrs.criteria import (
+    _elem_sym_walk,
     appendix_a_determinants,
     elem_sym,
     forbidden_eta_sets,
@@ -215,6 +217,61 @@ def test_theorem31_finds_singular_system_for_bad_eta(f7):
     assert not mds_system_matrix(found, v.witness).is_nonsingular()
 
 
+def test_elem_sym_walk_is_lex_order_with_elem_sym(f7):
+    rng = random.Random(97)
+    for ctx in (f7, Field.of_order(9)):
+        for n in range(6):
+            values = rng.sample(range(ctx.q), n)
+            for k in range(n + 2):
+                want = [(s, elem_sym(ctx, [values[i] for i in s])) for s in itertools.combinations(range(n), k)]
+                assert list(_elem_sym_walk(ctx, values, k)) == want
+
+
+def _det_scan(code):
+    """Theorem 3.1 subset by subset: the lex-first k-subset whose system has
+    determinant 0, by Gauss-Jordan elimination rather than the walk's test."""
+    for subset in itertools.combinations(range(code.n), code.dim):
+        if mds_system_matrix(code, subset).det() == 0:
+            return MdsVerdict(False, "theorem31", subset)
+    return MdsVerdict(True, "theorem31")
+
+
+@pytest.mark.parametrize("q", [4, 5, 7, 8, 9])
+def test_theorem31_walk_matches_per_subset_determinants(q):
+    """The walk's verdict and witness against a plain lex scan of
+    determinants, for every k and ell <= 3 that fit in GF(q) (n >= k + ell
+    and ell <= k hooks), half the draws with 0 among the points.  Draws
+    then go on until one code's witness is the first subset and another's
+    the last, so both ends of the walk are checked."""
+    ctx = Field.of_order(q)
+    rng = random.Random(f"theorem31-walk/{q}")
+    layouts = [(ell, k) for ell in (1, 2, 3) for k in range(ell, q - ell + 1)]
+    seen = Counter()
+
+    def check(ell, k, n, with_zero):
+        t = tuple(sorted(rng.sample(range(1, n - k + 1), ell)))
+        h = tuple(sorted(rng.sample(range(k), ell)))
+        alpha = rng.sample(range(1, q), n - 1) + [0] if with_zero else rng.sample(range(q), n)
+        rng.shuffle(alpha)
+        code = MultiTwistedCode(ctx, TwistProfile(k, t, h, [rng.randrange(1, q) for _ in t]), alpha)
+        want = _det_scan(code)
+        assert theorem31_is_mds(code) == want, code
+        seen["mds" if want.is_mds else "not"] += 1
+        seen["first"] += want.witness == tuple(range(k))
+        seen["last"] += want.witness == tuple(range(n - k, n))
+
+    for ell, k in layouts:
+        for draw in range(6):
+            check(ell, k, rng.randint(k + ell, q), draw % 2 == 0)
+    for draw in range(1000):
+        if seen["first"] and seen["last"]:
+            break
+        ell, k = rng.choice(layouts)
+        check(ell, k, k + ell, draw % 2 == 0)
+    assert seen["first"] and seen["last"] and seen["mds"] and seen["not"], seen
+    assert {ell for ell, _ in layouts} == ({1, 2} if q < 6 else {1, 2, 3})
+
+
 # -- published determinant listing ------------------------------------------------------
 
 
@@ -410,6 +467,31 @@ def test_four_way_agreement_exhaustive_f5(f5):
 def test_four_way_agreement_f7_samples(f7):
     _quad_oracle_scan(f7, (0, 1, 2, 3, 4), 3)
     _quad_oracle_scan(f7, (1, 2, 3, 4, 6), 3)
+
+
+# MDS (eta1, eta2) pairs of the double-twist code on alpha = all of GF(q), k = 2
+FULL_LENGTH_K2_PAIRS = {5: 4, 7: 6, 8: 0, 9: 4, 11: 10, 13: 12, 16: 0, 17: 16, 19: 18, 23: 22, 25: 24, 27: 13}
+
+
+@pytest.mark.parametrize("q", sorted(FULL_LENGTH_K2_PAIRS))
+def test_full_length_k2_diagonal_is_family_1(q):
+    """README, "Full-length k = 2 codes": at eta1 = eta2 = eta the closed
+    form of a pair {a, b} is (1 + a^2 eta)(1 + b^2 eta), so (eta, eta) is
+    MDS on alpha = GF(q) exactly when -1/eta is a non-square, which no eta
+    is in characteristic 2.  The totals are q - 1, (q - 1)/2 at q = 9 and
+    27, and 0 at q = 8 and 16."""
+    ctx = Field.of_order(q)
+    if q <= 13:
+        for a, b in itertools.combinations(range(q), 2):
+            for eta in range(1, q):
+                factors = [ctx.add(ctx.one, ctx.mul(ctx.mul(x, x), eta)) for x in (a, b)]
+                assert _closed_form(ctx, [a, b], 2, eta, eta) == ctx.mul(*factors)
+    hits = list(remark44_mds_etas(ctx, range(q), 2))
+    squares = {ctx.mul(y, y) for y in range(1, q)}
+    family_1 = {eta for eta in range(1, q) if ctx.neg(ctx.inv(eta)) not in squares}
+    assert {e1 for e1, e2 in hits if e1 == e2} == family_1
+    assert len(family_1) == (0 if q % 2 == 0 else (q - 1) // 2)
+    assert len(hits) == FULL_LENGTH_K2_PAIRS[q]
 
 
 def test_double_twist_criteria_refuse_values_outside_the_field(f7):

@@ -75,6 +75,56 @@ def test_det_matches_laplace(q):
         assert m.det() == laplace_det(ctx, m.data)
 
 
+def _forced_singular(ctx, rng, rows):
+    """Three singular copies of a square matrix of size >= 2: a row repeated,
+    a column zeroed, and a row replaced by a combination of the others."""
+    n = len(rows)
+    i, j = rng.sample(range(n), 2)
+    repeated = [list(r) for r in rows]
+    repeated[i] = list(rows[j])
+    col = rng.randrange(n)
+    zero_col = [[0 if c == col else x for c, x in enumerate(r)] for r in rows]
+    combo = [list(r) for r in rows]
+    combo[i] = [0] * n
+    for r in range(n):
+        if r != i:
+            combo[i] = ctx.add_scaled(combo[i], rng.randrange(ctx.q), rows[r])
+    return repeated, zero_col, combo
+
+
+@pytest.mark.parametrize("q", [16, 7, 25])
+def test_is_nonsingular_matches_rank_and_det(q):
+    """The forward-only test against rank() == rows and det() != 0 over
+    GF(2^m), GF(p) and GF(p^m) with p odd, on seeded square matrices of size
+    0 to 5 (half with entries 0 and 1 alone, so many are singular) and on
+    forced singular ones; it leaves its matrix as it was."""
+    ctx = Field.of_order(q)
+    rng = random.Random(f"nonsingular/{q}")
+    seen = set()
+    for size in range(6):
+        for draw in range(40):
+            pool = range(q) if draw % 2 else (0, 1)
+            rows = [[rng.choice(pool) for _ in range(size)] for _ in range(size)]
+            cases = [rows] + (list(_forced_singular(ctx, rng, rows)) if size >= 2 else [])
+            for case in cases:
+                m = Matrix(ctx, case)
+                want = m.rank() == size
+                assert m.is_nonsingular() == want == (m.det() != 0), case
+                assert m.data == case
+                seen.add((size, want))
+            assert not any(Matrix(ctx, c).is_nonsingular() for c in cases[1:])
+    assert seen >= {(size, want) for size in range(1, 6) for want in (True, False)}
+    assert Matrix(ctx, []).is_nonsingular()
+
+
+def test_is_nonsingular_refuses_non_square(f5, f16):
+    for ctx in (f5, f16):
+        for rows, cols in ((1, 2), (2, 1), (2, 3), (3, 2), (4, 5)):
+            m = Matrix(ctx, [[ctx.one if i == j else 0 for j in range(cols)] for i in range(rows)])
+            assert m.rank() == min(rows, cols)
+            assert not m.is_nonsingular()
+
+
 def test_det_multiplicative(f7, f16):
     rng = random.Random(9)
     for ctx in (f7, f16):
