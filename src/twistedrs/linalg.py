@@ -138,10 +138,9 @@ class Matrix:
             else:
                 return False
             pivot, m[pr] = m[pr], m[c]  # row c is not read again
-            below = [i for i in range(c + 1, n) if m[i][c]]
-            if below:
-                neg_inv = ctx.neg(ctx.inv(pivot[c]))
-                for i in below:
+            neg_inv = ctx.neg(ctx.inv(pivot[c]))
+            for i in range(c + 1, n):
+                if m[i][c]:
                     m[i] = ctx.add_scaled(m[i], ctx.mul(neg_inv, m[i][c]), pivot)
         return True
 

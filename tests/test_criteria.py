@@ -479,7 +479,7 @@ def test_full_length_k2_diagonal_is_family_1(q):
     form of a pair {a, b} is (1 + a^2 eta)(1 + b^2 eta), so (eta, eta) is
     MDS on alpha = GF(q) exactly when -1/eta is a non-square, which no eta
     is in characteristic 2.  The totals are q - 1, (q - 1)/2 at q = 9 and
-    27, and 0 at q = 8 and 16."""
+    27, and 0 at q = 8 and 16; every other hit has eta2 = eta1/9."""
     ctx = Field.of_order(q)
     if q <= 13:
         for a, b in itertools.combinations(range(q), 2):
@@ -492,6 +492,9 @@ def test_full_length_k2_diagonal_is_family_1(q):
     assert {e1 for e1, e2 in hits if e1 == e2} == family_1
     assert len(family_1) == (0 if q % 2 == 0 else (q - 1) // 2)
     assert len(hits) == FULL_LENGTH_K2_PAIRS[q]
+    # family 2, a conjecture checked over these fields: eta2 = eta1/9 off the diagonal
+    nine = ctx.sum([ctx.one] * 9)
+    assert all(nine and e2 == ctx.div(e1, nine) for e1, e2 in hits if e1 != e2)
 
 
 def test_double_twist_criteria_refuse_values_outside_the_field(f7):
