@@ -5,9 +5,6 @@ row-major lists of element indices reduced by Gauss-Jordan elimination.
 Pivoting is deterministic: leftmost nonzero column, topmost nonzero row,
 pivot normalized to 1.  No numerical concerns exist in exact arithmetic,
 so the same elimination pass serves RREF, rank, determinant and kernel.
-The nonsingularity test, which the subset-system criterion runs once per
-k-subset, needs none of that: it eliminates forward only and stops at the
-first column without a pivot.
 """
 
 from __future__ import annotations
@@ -124,25 +121,7 @@ class Matrix:
         return prod if swaps % 2 == 0 else self.ctx.neg(prod)
 
     def is_nonsingular(self) -> bool:
-        """rank() == rows for a square matrix, by forward elimination alone:
-        no pivot is normalised and nothing above a pivot is cleared, and the
-        pass stops at the first column without a pivot."""
-        if self.rows != self.cols:
-            return False
-        ctx, n = self.ctx, self.rows
-        m = self.data[:]  # add_scaled builds new rows, so the input is never written
-        for c in range(n):
-            for pr in range(c, n):
-                if m[pr][c]:
-                    break
-            else:
-                return False
-            pivot, m[pr] = m[pr], m[c]  # row c is not read again
-            neg_inv = ctx.neg(ctx.inv(pivot[c]))
-            for i in range(c + 1, n):
-                if m[i][c]:
-                    m[i] = ctx.add_scaled(m[i], ctx.mul(neg_inv, m[i][c]), pivot)
-        return True
+        return self.rows == self.cols and self.rank() == self.rows
 
     def null_space(self) -> "Matrix":
         """Basis of the right kernel, one basis vector per row; the matrix

@@ -94,10 +94,11 @@ def _forced_singular(ctx, rng, rows):
 
 @pytest.mark.parametrize("q", [16, 7, 25])
 def test_is_nonsingular_matches_rank_and_det(q):
-    """The forward-only test against rank() == rows and det() != 0 over
-    GF(2^m), GF(p) and GF(p^m) with p odd, on seeded square matrices of size
-    0 to 5 (half with entries 0 and 1 alone, so many are singular) and on
-    forced singular ones; it leaves its matrix as it was."""
+    """is_nonsingular, the subset-system criterion's test at each k-subset,
+    against rank() == rows and det() != 0 over GF(2^m), GF(p) and GF(p^m)
+    with p odd, on seeded square matrices of size 0 to 5 (half with entries
+    0 and 1 alone, so many are singular) and on forced singular ones; it
+    leaves its matrix as it was."""
     ctx = Field.of_order(q)
     rng = random.Random(f"nonsingular/{q}")
     seen = set()
