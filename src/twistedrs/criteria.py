@@ -134,7 +134,7 @@ def theorem31_is_mds(code: MultiTwistedCode) -> MdsVerdict:
     check_subset_budget(code.n, pr.k)
     ctx, rows = code.ctx, _system_rows(code)
     for subset, e in _elem_sym_walk(ctx, [ctx.neg(a) for a in code.alpha], pr.k):
-        if not Matrix(ctx, rows(e)).is_nonsingular():
+        if not Matrix._of_rows(ctx, rows(e)).is_nonsingular():
             return MdsVerdict(False, "theorem31", subset)
     return MdsVerdict(True, "theorem31")
 

@@ -26,6 +26,14 @@ class Matrix:
         self.data = [list(r) for r in data]
 
     @classmethod
+    def _of_rows(cls, ctx: Field, rows: list[list[FieldElement]]) -> "Matrix":
+        """A matrix on rows its caller built with equal lengths and hands
+        over: no copy and no length check."""
+        m = cls.__new__(cls)
+        m.ctx, m.rows, m.cols, m.data = ctx, len(rows), len(rows[0]) if rows else 0, rows
+        return m
+
+    @classmethod
     def identity(cls, ctx: Field, n: int) -> "Matrix":
         return cls(ctx, [[ctx.one if i == j else 0 for j in range(n)] for i in range(n)])
 
