@@ -102,14 +102,12 @@ def _cmd_check_mds(args) -> dict:
             v = is_mds_bruteforce(LinearCodeView.of_code(code))
         elif method == "theorem31":
             v = theorem31_is_mds(code)
-        elif method in ("remark44", "theorem42"):
+        else:  # remark44 | theorem42: argparse lets no other method through
             if not special:
                 raise ValueError(f"{method} applies only to t=(1,2), h=(0,1)")
             eta1, eta2 = pr.eta
             fn = remark44_is_mds if method == "remark44" else theorem42_is_mds
             v = fn(ctx, code.alpha, pr.k, eta1, eta2)
-        else:
-            raise ValueError(f"unknown method {method!r}")
         verdicts.append(_verdict_doc(v, time.perf_counter() - start))
     return {
         "n": code.n,

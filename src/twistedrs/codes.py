@@ -36,7 +36,7 @@ DEFAULT_SCAN_BUDGET = 10**7
 
 def check_subset_budget(n: int, k: int) -> None:
     """Refuse a scan of the C(n, k) k-subsets of n points past DEFAULT_SCAN_BUDGET,
-    read at call time; every MDS route scans them."""
+    read at call time: subset_walk and the double-twist criteria check it."""
     if comb(n, k) > DEFAULT_SCAN_BUDGET:
         raise BudgetExceededError(f"C({n},{k}) subsets exceed the scan budget {DEFAULT_SCAN_BUDGET}")
 
@@ -239,37 +239,58 @@ def _line_weights(ctx: Field, rows):
             yield n - sum(1 for j in free if word[j] == 0) - max(shared.values())
 
 
+def subset_walk(n: int, k: int, root, step):
+    """Each k-subset of range(n) in lexicographic order, with the state
+    step(state, j) builds from root along it: one depth-first walk keeps
+    the state of every prefix.  A step that returns None dooms each
+    completion of its prefix + (j,); the walk yields the first of them,
+    prefix + (j, j+1, ...), once with None and goes on to prefix + (j+1,).
+    The C(n, k) subsets must fit the scan budget before the first step."""
+    check_subset_budget(n, k)
+    prefix, stack, j = [], [root], 0  # stack[d]: the state of prefix[:d]
+    while True:
+        if len(prefix) == k:
+            yield tuple(prefix), stack[-1]
+        elif j <= n - k + len(prefix):
+            state = step(stack[-1], j)
+            if state is None:
+                yield (*prefix, *range(j, j + k - len(prefix))), None
+            else:
+                stack.append(state)
+                prefix.append(j)
+            j += 1
+            continue
+        if not prefix:
+            return
+        j = prefix.pop() + 1
+        stack.pop()
+
+
 def is_mds_bruteforce(view: LinearCodeView) -> MdsVerdict:
     """MDS iff every k-subset of generator columns is independent.
 
-    One depth-first walk over column prefixes in lexicographic order keeps
-    an echelon basis of the prefix's columns, each 1 at its pivot, and
-    reduces each next column j against it.  A column that reduces to zero
-    makes every completion of its prefix singular, so the witness is the
-    first of them, prefix + (j, j+1, ...): the lex-first singular subset."""
-    n, k, ctx = view.n, view.k, view.ctx
-    check_subset_budget(n, k)
+    The subset walk keeps an echelon basis of each prefix's columns, each
+    1 at its pivot, and reduces each next column j against it.  A column
+    that reduces to zero makes every completion of its prefix singular, so
+    the first subset the walk dooms is the lex-first singular one."""
+    ctx = view.ctx
     cols = list(zip(*view.g.data))
-    prefix, basis = [], []  # basis[i]: (pivot, column prefix[i] reduced and scaled)
-    j = 0
-    while True:
-        if len(prefix) == k or j > n - k + len(prefix):
-            if not prefix:
-                return MdsVerdict(True, "bruteforce")
-            j = prefix.pop() + 1
-            basis.pop()
-            continue
+
+    def reduce(basis, j):  # basis[i]: (pivot, column prefix[i] reduced and scaled)
         v = cols[j]
         for piv, b in basis:
             if v[piv]:
                 v = ctx.add_scaled(v, ctx.neg(v[piv]), b)
         piv = next((i for i, x in enumerate(v) if x), None)
         if piv is None:
-            return MdsVerdict(False, "bruteforce", (*prefix, *range(j, j + k - len(prefix))))
+            return None
         inv = ctx.inv(v[piv])
-        basis.append((piv, [ctx.mul(inv, x) for x in v]))
-        prefix.append(j)
-        j += 1
+        return [*basis, (piv, [ctx.mul(inv, x) for x in v])]
+
+    for subset, basis in subset_walk(view.n, view.k, [], reduce):
+        if basis is None:
+            return MdsVerdict(False, "bruteforce", subset)
+    return MdsVerdict(True, "bruteforce")
 
 
 def dual_code(view: LinearCodeView) -> LinearCodeView:

@@ -19,7 +19,8 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from .codes import MdsVerdict, MultiTwistedCode, TwistProfile, check_subset_budget
+from .codes import MdsVerdict, MultiTwistedCode, TwistProfile, check_eval_vector, check_subset_budget
+from .codes import subset_walk
 from .field import Field, FieldElement
 from .linalg import Matrix
 
@@ -36,30 +37,13 @@ def elem_sym(ctx: Field, values) -> list[FieldElement]:
     return e
 
 
-def _elem_sym_walk(
-    ctx: Field, values, k: int
-) -> Iterator[tuple[tuple[int, ...], list[FieldElement]]]:
+def _elem_sym_walk(ctx: Field, values, k: int) -> Iterator[tuple[tuple[int, ...], list[FieldElement]]]:
     """Each k-subset of positions in values, in lexicographic order, with
     the elementary symmetric polynomials e_0..e_k of its values.
 
-    One depth-first walk keeps e of every prefix, so appending a value x
-    is one row step, e'_j = e_j + x e_(j-1), instead of a fresh elem_sym."""
-    n = len(values)
-    prefix, stack = [], [[ctx.one]]  # stack[d]: e of the first d values of prefix
-    j = 0
-    while True:
-        if len(prefix) == k:
-            yield tuple(prefix), stack[-1]
-        elif j <= n - k + len(prefix):
-            e = stack[-1]
-            stack.append(ctx.add_scaled(e + [0], values[j], [0] + e))
-            prefix.append(j)
-            j += 1
-            continue
-        if not prefix:
-            return
-        j = prefix.pop() + 1
-        stack.pop()
+    The subset walk keeps e of every prefix, so appending a value x is one
+    row step, e'_j = e_j + x e_(j-1), instead of a fresh elem_sym."""
+    return subset_walk(len(values), k, [ctx.one], lambda e, j: ctx.add_scaled(e + [0], values[j], [0] + e))
 
 
 def sigma_coeffs(ctx: Field, alphas) -> list[FieldElement]:
@@ -131,10 +115,9 @@ def theorem31_is_mds(code: MultiTwistedCode) -> MdsVerdict:
     pr = code.profile
     if pr.ell == 0:
         return MdsVerdict(True, "theorem31")
-    check_subset_budget(code.n, pr.k)
     ctx, rows = code.ctx, _system_rows(code)
     for subset, e in _elem_sym_walk(ctx, [ctx.neg(a) for a in code.alpha], pr.k):
-        if not Matrix._of_rows(ctx, rows(e)).is_nonsingular():
+        if not Matrix(ctx, rows(e)).is_nonsingular():
             return MdsVerdict(False, "theorem31", subset)
     return MdsVerdict(True, "theorem31")
 
@@ -214,6 +197,9 @@ def forbidden_eta_sets(ctx: Field, alpha, k: int, eta2: FieldElement):
     eta2 set collects (-1)^(k-1) / (sum * prod) over (k-1)-subsets of
     nonzero points with nonzero sum.
     """
+    alpha = check_eval_vector(ctx, alpha)
+    if not 0 < eta2 < ctx.q:
+        raise ValueError("every eta_i must be a nonzero field element")
     nz = [x for x in alpha if x != 0]
     eta1_excl, eta2_excl = set(), set()
     for _, e in _elem_sym_walk(ctx, nz, k):

@@ -26,14 +26,6 @@ class Matrix:
         self.data = [list(r) for r in data]
 
     @classmethod
-    def _of_rows(cls, ctx: Field, rows: list[list[FieldElement]]) -> "Matrix":
-        """A matrix on rows its caller built with equal lengths and hands
-        over: no copy and no length check."""
-        m = cls.__new__(cls)
-        m.ctx, m.rows, m.cols, m.data = ctx, len(rows), len(rows[0]) if rows else 0, rows
-        return m
-
-    @classmethod
     def identity(cls, ctx: Field, n: int) -> "Matrix":
         return cls(ctx, [[ctx.one if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -80,14 +72,15 @@ class Matrix:
     # -- elimination ---------------------------------------------------------
 
     def _eliminate(self):
-        """Gauss-Jordan in place on a copy.
+        """Gauss-Jordan on a copy of the row list: each step replaces whole
+        rows and edits none in place, so the rows themselves are shared.
 
         Returns (reduced rows, pivot column list, swap count, pivot product).
         The pivot product is taken before normalization, so for square
         full-rank input det = (-1)^swaps * pivot_product.
         """
         ctx = self.ctx
-        m = [list(r) for r in self.data]
+        m = list(self.data)
         pivots = []
         swaps = 0
         pivot_prod = ctx.one

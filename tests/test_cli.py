@@ -81,6 +81,24 @@ def test_check_mds_inline_flags(capsys):
     assert code == 0 and doc["agree"]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["--q", "7", "--alpha", "0,1,2,3,4", "--k", "2", "--t", "1", "--h", "0", "--eta", "3",
+             "--method", "remark44"],
+            "remark44 applies only to t=(1,2), h=(0,1)",
+        ),
+        (["--alpha", "0,1,2,3,4", "--k", "3"], "give --q (optionally --modulus)"),
+        (["--q", "7", "--k", "3"], "without --profile, --alpha and --k are required"),
+    ],
+)
+def test_check_mds_error_paths_exit_code_1(capsys, argv, message):
+    code, doc = run(capsys, "check-mds", *argv)
+    assert code == 1
+    assert doc == {"error": {"type": "ValueError", "message": message}}
+
+
 def test_min_distance(tmp_path, capsys):
     path = write_profile(tmp_path, EX32_PROFILE)
     code, doc = run(capsys, "min-distance", "--profile", path)

@@ -3,6 +3,7 @@
 import itertools
 import random
 from collections import Counter
+from math import comb
 
 import pytest
 
@@ -18,6 +19,7 @@ from twistedrs.codes import (
     hull_direct,
     is_mds_bruteforce,
     min_distance_bruteforce,
+    subset_walk,
     twisted_poly,
 )
 from twistedrs.field import Field
@@ -343,6 +345,53 @@ def test_budget_guard(f16, monkeypatch):
     monkeypatch.setattr(codes, "DEFAULT_SCAN_BUDGET", 2)
     with pytest.raises(BudgetExceededError):
         is_mds_bruteforce(view)
+
+
+def _prefix(prefix, j):
+    return (*prefix, j)
+
+
+def test_subset_walk_is_lex_order_with_the_prefix_state():
+    """k = 0 gives the one empty subset and k > n none."""
+    for n in range(8):
+        for k in range(n + 2):
+            want = list(itertools.combinations(range(n), k))
+            assert list(subset_walk(n, k, (), _prefix)) == [(s, s) for s in want], (n, k)
+
+
+@pytest.mark.parametrize("doomed", [(0,), (1, 3), (2, 3, 5), (0, 1, 2, 3), (3, 4, 5), (2,)])
+def test_subset_walk_yields_a_doomed_prefix_once(doomed):
+    """A prefix whose step returns None is yielded once, as its first
+    completion with None; its other completions are neither yielded nor
+    stepped into, and the walk goes on in lexicographic order."""
+    n, k = 7, 4
+    stepped = []
+
+    def step(prefix, j):
+        stepped.append((*prefix, j))
+        return None if (*prefix, j) == doomed else (*prefix, j)
+
+    first = (*doomed, *range(doomed[-1] + 1, doomed[-1] + 1 + k - len(doomed)))
+    want = [
+        (s, None if s == first else s)
+        for s in itertools.combinations(range(n), k)
+        if s[: len(doomed)] != doomed or s == first
+    ]
+    assert list(subset_walk(n, k, (), step)) == want
+    assert not [p for p in stepped if len(p) > len(doomed) and p[: len(doomed)] == doomed]
+
+
+def test_subset_walk_refuses_past_the_budget_before_any_step(monkeypatch):
+    def step(state, j):
+        raise AssertionError("the walk stepped")
+
+    for n, k in ((5, 3), (7, 2), (4, 4), (6, 0)):
+        budget = comb(n, k) - 1
+        monkeypatch.setattr(codes, "DEFAULT_SCAN_BUDGET", budget)
+        with pytest.raises(BudgetExceededError, match=rf"^C\({n},{k}\) subsets exceed the scan budget {budget}$"):
+            next(subset_walk(n, k, (), step))
+        monkeypatch.setattr(codes, "DEFAULT_SCAN_BUDGET", budget + 1)
+        assert len(list(subset_walk(n, k, (), _prefix))) == comb(n, k)
 
 
 def _message_scan_min_distance(view):

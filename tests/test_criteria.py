@@ -359,6 +359,27 @@ def test_forbidden_eta1_for_k1(f7):
     assert eta2_excl == frozenset()
 
 
+def test_forbidden_eta_sets_refuse_bad_input(f7):
+    """Points pass the records' checks (9 is not read as 2 over GF(7)),
+    and eta2 must be a nonzero field element."""
+    for alpha, message in (((1, 1, 2, 3), "distinct"), ((1, 2, 3, 9), "outside the field")):
+        with pytest.raises(ValueError, match=message):
+            forbidden_eta_sets(f7, alpha, 2, 1)
+    for eta2 in (0, 7):
+        with pytest.raises(ValueError, match="^every eta_i must be a nonzero field element$"):
+            forbidden_eta_sets(f7, (1, 2, 3, 4), 2, eta2)
+
+
+def test_forbidden_eta_sets_refuse_past_the_scan_budget(f7, monkeypatch):
+    alpha = (1, 2, 3, 4, 5)
+    want = forbidden_eta_sets(f7, alpha, 3, 1)
+    monkeypatch.setattr(codes, "DEFAULT_SCAN_BUDGET", 9)
+    with pytest.raises(BudgetExceededError, match=r"^C\(5,3\) subsets exceed the scan budget 9$"):
+        forbidden_eta_sets(f7, alpha, 3, 1)
+    monkeypatch.setattr(codes, "DEFAULT_SCAN_BUDGET", 10)
+    assert forbidden_eta_sets(f7, alpha, 3, 1) == want
+
+
 def test_example_4_3_avoids_every_exclusion(f16):
     alpha = f16.parse_vector(("0", "a^3 + a^2", "a^3 + a^2 + a + 1", "a^3 + 1", "1"))
     eta1 = f16.parse("a^2 + a")

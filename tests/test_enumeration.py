@@ -443,6 +443,9 @@ def test_search_empty_space_errors(f7):
         list(search_mds(f7, 5, 3, strategy="random", trials=0))
     with pytest.raises(ValueError, match="strategy"):
         list(search_mds(f7, 5, 3, strategy="sideways"))
+    for alpha in ((0, 1, 2, 3), (0, 1, 2, 3, 4, 5)):
+        with pytest.raises(ValueError, match="^fixed alpha must have length n$"):
+            next(search_mds(f7, 5, 3, alpha=alpha))
 
 
 def test_exhaustive_search_refuses_past_the_scan_budget():

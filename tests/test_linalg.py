@@ -1,5 +1,6 @@
 """Exact linear algebra against Laplace-expansion and set-enumeration oracles."""
 
+import copy
 import itertools
 import random
 
@@ -204,3 +205,27 @@ def test_intersection_against_set_oracle(f5):
             assert tuple(v) in common
         # dimension formula: dim(A) + dim(B) - dim(A+B)
         assert inter.rows == a.rank() + b.rank() - a.stack(b).rank()
+
+
+@pytest.mark.parametrize("q", [16, 7, 25])
+def test_eliminations_leave_their_matrix_alone(q):
+    """Elimination copies only the list of rows, so it must never edit a
+    row in place, and rref and row_space_basis must hand back rows of their
+    own.  Half the matrices get a repeated row and a zero row; elimination
+    never replaces a zero row, so the reduced rows share it with m."""
+    ctx = Field.of_order(q)
+    rng = random.Random(q)
+    for _ in range(40):
+        nr, nc = rng.randint(1, 5), rng.randint(1, 5)
+        m = rand_matrix(ctx, rng, nr, nc)
+        if rng.random() < 0.5:
+            m = Matrix(ctx, m.data + [[0] * nc, list(m.data[0])])
+        before = copy.deepcopy(m.data)
+        calls = ["rank", "rref", "null_space", "row_space_basis", "is_nonsingular"]
+        for name in calls + (["det"] if m.rows == m.cols else []):
+            getattr(m, name)()
+            assert m.data == before, name
+        for out in (m.rref(), m.row_space_basis()):
+            for row in out.data:
+                row[0] = (row[0] + 1) % q
+            assert m.data == before
