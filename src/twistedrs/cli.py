@@ -29,7 +29,7 @@ from .criteria import (
     theorem31_is_mds,
     theorem42_is_mds,
 )
-from .enumeration import EnumTask, _kernel, count_mds_double_twisted, search_mds
+from .enumeration import EnumTask, _field, count_mds_double_twisted, search_mds
 from .field import Field
 from .hull import construct_even, construct_odd, hull_report
 from .profiles import load_profile, matrix_to_doc, profile_to_doc
@@ -186,7 +186,7 @@ def _cmd_enumerate(args) -> dict:
         "elapsed": round(res.elapsed, 6),
     }
     if res.per_set is not None:
-        ctx = _kernel(args.q).field  # built by the count
+        ctx = _field(args.q)  # built by the count
         doc["per_set"] = {
             ",".join(ctx.format(x) for x in key): val for key, val in res.per_set.items()
         }

@@ -8,7 +8,7 @@ matrix with row h_j replaced by alpha^{h_j} + eta_j alpha^{k-1+t_j}.
 
 The brute-force analyzers here (minimum distance by a scan over the lines
 of messages, MDS by k-column minors, dual and hull by kernel computations)
-are the ground truth the structural criteria in mds-criteria are validated
+are the ground truth the structural criteria in criteria.py are validated
 against.
 """
 
@@ -80,17 +80,6 @@ class TwistProfile(_TwistProfile):
         return self.k - 1 + self.t[-1] if self.t else self.k - 1
 
 
-def check_eval_vector(ctx: Field, alpha) -> tuple[FieldElement, ...]:
-    alpha = tuple(alpha)
-    if len(set(alpha)) != len(alpha):
-        raise ValueError("evaluation points must be pairwise distinct")
-    if len(alpha) > ctx.q:
-        raise ValueError("more evaluation points than field elements")
-    if any(not 0 <= x < ctx.q for x in alpha):
-        raise ValueError("evaluation point outside the field")
-    return alpha
-
-
 class _MultiTwistedCode(NamedTuple):
     ctx: Field
     profile: TwistProfile
@@ -101,7 +90,13 @@ class MultiTwistedCode(_MultiTwistedCode):
     __slots__ = ()
 
     def __new__(cls, ctx: Field, profile: TwistProfile, alpha):
-        alpha = check_eval_vector(ctx, alpha)
+        alpha = tuple(alpha)
+        if len(set(alpha)) != len(alpha):
+            raise ValueError("evaluation points must be pairwise distinct")
+        if len(alpha) > ctx.q:
+            raise ValueError("more evaluation points than field elements")
+        if any(not 0 <= x < ctx.q for x in alpha):
+            raise ValueError("evaluation point outside the field")
         if any(not 0 < e < ctx.q for e in profile.eta):
             raise ValueError("every eta_i must be a nonzero field element")
         if profile.k >= len(alpha):

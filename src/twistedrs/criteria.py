@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator
 
-from .codes import MdsVerdict, MultiTwistedCode, TwistProfile, check_eval_vector, check_subset_budget
+from .codes import MdsVerdict, MultiTwistedCode, TwistProfile, check_subset_budget
 from .codes import subset_walk
 from .field import Field, FieldElement
 from .linalg import Matrix
@@ -98,9 +98,9 @@ def mds_system_matrix(code: MultiTwistedCode, subset) -> Matrix:
     Nonsingular for every k-subset of evaluation points iff the code is MDS.
     """
     rows = _system_rows(code)
-    subset = tuple(subset)
-    if len(subset) != code.profile.k:
-        raise ValueError(f"subset size {len(subset)} != k = {code.profile.k}")
+    subset, k = tuple(subset), code.profile.k
+    if len(subset) != k or len(set(subset)) != k or not all(0 <= i < code.n for i in subset):
+        raise ValueError(f"subset {subset} is not k = {k} distinct positions in range({code.n})")
     ctx = code.ctx
     return Matrix(ctx, rows(elem_sym(ctx, [ctx.neg(code.alpha[i]) for i in subset])))
 
@@ -195,17 +195,15 @@ def forbidden_eta_sets(ctx: Field, alpha, k: int, eta2: FieldElement):
     eta2; subsets where eta2 equals (-1)^k / prod are skipped there since
     the rational is undefined (and imposes nothing) at those pairs.  The
     eta2 set collects (-1)^(k-1) / (sum * prod) over (k-1)-subsets of
-    nonzero points with nonzero sum.
+    nonzero points with nonzero sum.  It refuses what theorem42_is_mds
+    refuses.
     """
-    alpha = check_eval_vector(ctx, alpha)
-    if not 0 < eta2 < ctx.q:
-        raise ValueError("every eta_i must be a nonzero field element")
+    alpha = _double_twist_points(ctx, alpha, k, ctx.one, eta2)
     nz = [x for x in alpha if x != 0]
-    eta1_excl, eta2_excl = set(), set()
+    eta1_excl = set()
     for _, e in _elem_sym_walk(ctx, nz, k):
         eta1_excl.update(_eta1_exclusions(ctx, e, k, eta2))
-    if k >= 2:
-        eta2_excl.update(_eta2_exclusion(ctx, e) for _, e in _elem_sym_walk(ctx, nz, k - 1))
+    eta2_excl = {_eta2_exclusion(ctx, e) for _, e in _elem_sym_walk(ctx, nz, k - 1)}
     return frozenset(eta1_excl - {None}), frozenset(eta2_excl - {None})
 
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import itertools
 import random
 import time
-from functools import cache, cached_property
+from functools import cache
 from math import comb
 from typing import Iterator, NamedTuple, Optional
 
@@ -71,7 +71,7 @@ class EnumTask(_EnumTask):
     __slots__ = ()
 
     def __new__(cls, q: int, n: int, k: int, criterion: str = "remark44", workers: int = 1):
-        _kernel(q)  # q must be a prime power <= 2^16
+        _spec(q)  # q must be a prime power <= 2^16
         if criterion not in ("remark44", "bruteforce"):
             raise ValueError(f"unknown criterion {criterion!r}")
         if k < 2:
@@ -99,71 +99,58 @@ class EnumResult(NamedTuple):
     per_set: Optional[dict] = None
 
 
-class _FieldKernel:
-    """What counting needs for one field order, built once per process:
-    the default field, its dense numpy add/mul/neg/inv tables and the bad
-    eta pairs of every (u, v) class.  Only the spec is built eagerly, so
-    creating one validates q cheaply."""
-
-    def __init__(self, q: int):
-        import numpy as np
-        self.spec = FieldSpec.of_order(q)
-        self.q = q
-        # element dtype of the tables and of evaluation-set arrays
-        self.dtype = np.int16 if q <= 2**15 else np.int32
-
-    @cached_property
-    def field(self) -> Field:
-        return Field(self.spec)
-
-    @cached_property
-    def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Dense add, mul, neg and inv arrays indexed by element, read off
-        the Field; inv[0] is 0."""
-        import numpy as np
-        ctx, elems, dt = self.field, range(self.q), self.dtype
-        add = np.array([[ctx.add(x, y) for y in elems] for x in elems], dt)
-        mul = np.array([[ctx.mul(x, y) for y in elems] for x in elems], dt)
-        neg = np.array([ctx.neg(x) for x in elems], dt)
-        inv = np.array([0] + [ctx.inv(x) for x in elems[1:]], dt)
-        return add, mul, neg, inv
-
-    @cached_property
-    def classes(self) -> np.ndarray:
-        """bad_eta2, the one bad eta2 of every (u, v) class and eta1.
-
-        A k-subset's closed form is 1 - u*eta1 + v*eta2 + w*eta1*eta2 with
-        w = e_k^2 = u^2, so its bad pairs depend on (u, v) alone.  The
-        array has shape (q*q, q-1), row u*q + v and column eta1 - 1, and
-        holds the one eta2 that zeroes the expression, or 0 when none does
-        (eta2 = 0 lies outside the counted grid).  Where slope and constant
-        are both 0 every eta2 is bad and the entry is 0; the count fills
-        those whole rows itself."""
-        import numpy as np
-        add, mul, neg, inv = self.tables
-        q = self.q
-        v, h1 = np.arange(q)[:, None], np.arange(1, q)
-        bad_eta2 = np.empty((q, q, q - 1), self.dtype)
-        # one u at a time keeps the temporaries at q*(q-1) entries
-        for u in range(q):
-            slope = add[v, mul[mul[u, u], h1]]  # expr = const + eta2 * slope
-            const = add[1, neg[mul[u, h1]]]
-            bad_eta2[u] = mul[neg[const], inv[slope]]  # inv[0] = 0
-        return bad_eta2.reshape(q * q, q - 1)
+# The count's state per field order, built once per process (the spec too:
+# every count validates a new EnumTask).  Every array is int16, so q > 2^15
+# raises OverflowError; no in-budget count reaches it (the last is q = 211).
+_spec = cache(FieldSpec.of_order)
 
 
 @cache
-def _kernel(q: int) -> _FieldKernel:
-    """The cached kernel context of GF(q); raises unless q is a prime
-    power <= 2^16."""
-    return _FieldKernel(q)
+def _field(q: int) -> Field:
+    return Field(_spec(q))
 
 
-def _all_sets(kern: _FieldKernel, n: int) -> np.ndarray:
+@cache
+def _tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Dense add, mul, neg and inv arrays indexed by element, read off
+    _field(q); inv[0] is 0."""
+    import numpy as np
+    ctx, elems = _field(q), range(q)
+    add = np.array([[ctx.add(x, y) for y in elems] for x in elems], np.int16)
+    mul = np.array([[ctx.mul(x, y) for y in elems] for x in elems], np.int16)
+    neg = np.array([ctx.neg(x) for x in elems], np.int16)
+    inv = np.array([0] + [ctx.inv(x) for x in elems[1:]], np.int16)
+    return add, mul, neg, inv
+
+
+@cache
+def _classes(q: int) -> np.ndarray:
+    """bad_eta2, the one bad eta2 of every (u, v) class and eta1.
+
+    A k-subset's closed form is 1 - u*eta1 + v*eta2 + w*eta1*eta2 with
+    w = e_k^2 = u^2, so its bad pairs depend on (u, v) alone.  The
+    array has shape (q*q, q-1), row u*q + v and column eta1 - 1, and
+    holds the one eta2 that zeroes the expression, or 0 when none does
+    (eta2 = 0 lies outside the counted grid).  Where slope and constant
+    are both 0 every eta2 is bad and the entry is 0; the count fills
+    those whole rows itself."""
+    import numpy as np
+    add, mul, neg, inv = _tables(q)
+    v, h1 = np.arange(q)[:, None], np.arange(1, q)
+    bad_eta2 = np.empty((q, q, q - 1), np.int16)
+    # one u at a time keeps the temporaries at q*(q-1) entries
+    for u in range(q):
+        slope = add[v, mul[mul[u, u], h1]]  # expr = const + eta2 * slope
+        const = add[1, neg[mul[u, h1]]]
+        bad_eta2[u] = mul[neg[const], inv[slope]]  # inv[0] = 0
+    return bad_eta2.reshape(q * q, q - 1)
+
+
+def _all_sets(q: int, n: int) -> np.ndarray:
     """Every n-subset of GF(q), sorted rows in lexicographic order."""
     import numpy as np
-    flat = itertools.chain.from_iterable(itertools.combinations(range(kern.q), n))
-    return np.fromiter(flat, kern.dtype, comb(kern.q, n) * n).reshape(-1, n)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(q), n))
+    return np.fromiter(flat, np.int16, comb(q, n) * n).reshape(-1, n)
 
 
 @cache
@@ -180,9 +167,8 @@ def _orbit_reps(q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     the group, one element at a time.  The representatives come in key
     order, each the lexicographically least set of its orbit."""
     import numpy as np
-    kern = _kernel(q)
-    sets = _all_sets(kern, n)
-    p, m, ctx = kern.spec.p, kern.spec.m, kern.field
+    sets = _all_sets(q, n)
+    ctx = _field(q)
     total = comb(q, n)
     # binom[a, i] = C(a, i + 1); the entries a rank can use are below C(q, n)
     binom = np.array(
@@ -192,7 +178,7 @@ def _orbit_reps(q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     def ranks(image) -> np.ndarray:
         # image[x] is the image of element x; every map fixes 0
-        img = np.array(image, kern.dtype)[sets]
+        img = np.array(image, np.int16)[sets]
         img.sort(axis=1)
         return binom[img, cols].sum(axis=1)
 
@@ -200,10 +186,10 @@ def _orbit_reps(q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
     scale = np.empty(total, np.int64)
     scale[rank] = ranks([ctx.mul(ctx.gamma, x) for x in range(q)])
     frob = np.empty(total, np.int64)
-    frob[rank] = ranks([ctx.pow(x, p) for x in range(q)])
+    frob[rank] = ranks([ctx.pow(x, ctx.p) for x in range(q)])
     base = np.arange(total)
     least = base.copy()
-    for _ in range(m):
+    for _ in range(ctx.m):
         cur = base
         for _ in range(q - 2):
             cur = scale[cur]
@@ -223,7 +209,7 @@ def _orbit_reps(q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 _SUBSET_CHUNK = 64
 
 
-def _remark44_set_counts(kern: _FieldKernel, n: int, k: int, sets_arr: np.ndarray) -> np.ndarray:
+def _remark44_set_counts(q: int, n: int, k: int, sets_arr: np.ndarray) -> np.ndarray:
     """Per-evaluation-set tally of eta pairs passing the closed form.
 
     sets_arr has shape (B, n); returns a (B,) int64 vector.  The k-subsets
@@ -233,9 +219,9 @@ def _remark44_set_counts(kern: _FieldKernel, n: int, k: int, sets_arr: np.ndarra
     can only mark more pairs bad.
     """
     import numpy as np
-    add, mul, neg, inv = kern.tables
-    q = kern.q
-    sign_k = kern.field.sign(k)
+    add, mul, neg, inv = _tables(q)
+    classes = _classes(q)
+    sign_k = _field(q).sign(k)
     n_sub = comb(n, k)
     cells = (q - 1) * q
     # bad (eta1, eta2) pairs of each live set, row eta1 - 1; column
@@ -274,7 +260,7 @@ def _remark44_set_counts(kern: _FieldKernel, n: int, k: int, sets_arr: np.ndarra
         # flat grid index of (set, eta1, bad eta2)
         flat = (si * (q - 1)).astype(np.int32)[:, None] + np.arange(q - 1, dtype=np.int32)
         flat *= q
-        flat += kern.classes[cls]
+        flat += classes[cls]
         grid.reshape(-1)[flat] = True
         # the whole eta2 row is bad, slope and constant both 0, exactly
         # where v = -u != 0 and eta1 = 1/u
@@ -294,7 +280,7 @@ def _remark44_set_counts(kern: _FieldKernel, n: int, k: int, sets_arr: np.ndarra
     return tallies
 
 
-def _bruteforce_set_count(ctx: Field, n: int, k: int, subset) -> int:
+def _bruteforce_set_count(ctx: Field, k: int, subset) -> int:
     count = 0
     for eta1 in range(1, ctx.q):
         for eta2 in range(1, ctx.q):
@@ -327,13 +313,12 @@ def count_mds_double_twisted(task: EnumTask, histogram: bool = False) -> EnumRes
     import numpy as np
     start = time.perf_counter()
     q, n, k = task.q, task.n, task.k
-    kern = _kernel(q)
     if histogram or task.criterion == "bruteforce":
-        sets, sizes = _all_sets(kern, n), None
+        sets, sizes = _all_sets(q, n), None
     else:
         sets, sizes = _orbit_reps(q, n)
     if task.criterion == "bruteforce":
-        tallies = np.array([_bruteforce_set_count(kern.field, n, k, s) for s in sets.tolist()], np.int64)
+        tallies = np.array([_bruteforce_set_count(_field(q), k, s) for s in sets.tolist()], np.int64)
     else:
         sk = min(_SUBSET_CHUNK, comb(n, k))
         # keep one chunk's (B, S, k) value tensor, the (B, q*q) class presence
@@ -344,7 +329,7 @@ def count_mds_double_twisted(task: EnumTask, histogram: bool = False) -> EnumRes
             min(4_000_000 // (sk * k), 8_000_000 // (q * q), 1_000_000 // (min(sk, q * q) * (q - 1))),
         )
         tallies = np.concatenate(
-            [_remark44_set_counts(kern, n, k, sets[i : i + batch]) for i in range(0, len(sets), batch)]
+            [_remark44_set_counts(q, n, k, sets[i : i + batch]) for i in range(0, len(sets), batch)]
         )
     total = int(tallies.sum() if sizes is None else tallies @ sizes)
     per_set = dict(zip(map(tuple, sets.tolist()), tallies.tolist())) if histogram else None

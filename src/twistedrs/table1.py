@@ -74,13 +74,20 @@ def load_golden(out_dir: str, q: int) -> dict:
         return json.load(fh)
 
 
+def _orders(text: str) -> tuple[int, ...]:
+    """Comma-separated field orders; anything but prime powers is a usage error."""
+    try:
+        return tuple(FieldSpec.of_order(int(x)).q for x in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description="regenerate the MDS double-twisted count goldens")
     ap.add_argument("--out", default="goldens/table1")
-    ap.add_argument("--orders", default=",".join(str(q) for q in FIELD_ORDERS))
+    ap.add_argument("--orders", type=_orders, default=FIELD_ORDERS)
     args = ap.parse_args(argv)
-    orders = tuple(int(x) for x in args.orders.split(","))
-    for path in write_goldens(args.out, orders):
+    for path in write_goldens(args.out, args.orders):
         print(path)
     return 0
 

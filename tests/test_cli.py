@@ -12,7 +12,7 @@ import pytest
 import twistedrs
 from twistedrs import table1
 from twistedrs.cli import cli_main
-from twistedrs.enumeration import EnumTask, _kernel, count_mds_double_twisted
+from twistedrs.enumeration import EnumTask, _field, count_mds_double_twisted
 from twistedrs.field import Field
 
 
@@ -154,7 +154,7 @@ def test_enumerate_histogram(capsys):
 
 
 def test_enumerate_histogram_formats_keys_with_the_counts_field(capsys, monkeypatch):
-    _kernel(5).field  # the count's cached field, built before the call
+    _field(5)  # the count's cached field, built before the call
     built = []
     init = Field.__init__
 
@@ -175,6 +175,30 @@ def test_workers_flag_is_a_usage_error(capsys, tmp_path):
     with pytest.raises(SystemExit) as exc:
         table1.main(["--out", str(tmp_path), "--orders", "4", "--workers", "2"])
     assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_table1_main_writes_the_goldens(capsys, tmp_path):
+    assert table1.main(["--out", str(tmp_path), "--orders", "4,5"]) == 0
+    names = ["table1_q4.json", "table1_q5.json"]
+    assert capsys.readouterr().out.split() == [str(tmp_path / name) for name in names]
+    golden_dir = Path(__file__).resolve().parents[1] / "goldens" / "table1"
+
+    def without_elapsed(path):
+        return [line for line in path.read_text().splitlines() if not line.startswith('  "elapsed": ')]
+
+    for name in names:
+        written = without_elapsed(tmp_path / name)
+        assert len(written) == len((tmp_path / name).read_text().splitlines()) - 1  # one elapsed line
+        assert written == without_elapsed(golden_dir / name)
+
+
+def test_table1_orders_must_be_prime_powers(capsys, tmp_path):
+    for orders, message in (("6", "6 is not a prime power"), ("4,x", "invalid literal for int()")):
+        with pytest.raises(SystemExit) as exc:
+            table1.main(["--out", str(tmp_path), "--orders", orders])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -395,7 +419,15 @@ def _fresh_python(code: str) -> str:
 
 
 def test_cli_import_leaves_numpy_unloaded():
-    assert _fresh_python("import sys, twistedrs, twistedrs.cli; print('numpy' in sys.modules)") == "False"
+    """Importing the CLI, validating a count's task and refusing an
+    over-budget count all run without numpy."""
+    for code in (
+        "import twistedrs, twistedrs.cli",
+        "from twistedrs.enumeration import EnumTask; EnumTask(7, 5, 3)",
+        "from twistedrs.cli import cli_main; assert cli_main(['enumerate', '--q', '43', '--n', '4', '--k', '2']) == 1",
+    ):
+        out = _fresh_python(f"import sys; {code}; print('numpy' in sys.modules)")
+        assert out.splitlines()[-1] == "False"
 
 
 def test_cli_import_leaves_dataclasses_and_multiprocessing_unloaded():

@@ -3,6 +3,7 @@ determinant listing."""
 
 import itertools
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -152,6 +153,15 @@ def test_system_matrix_requires_twists(f16):
     code = MultiTwistedCode(f16, TwistProfile(3), tuple(range(5)))
     with pytest.raises(ValueError, match="plain RS"):
         mds_system_matrix(code, (0, 1, 2))
+
+
+def test_system_matrix_refuses_a_subset_that_is_not_k_positions(f7):
+    # a repeated point, a negative index, an index past n and a wrong size
+    code = MultiTwistedCode(f7, TwistProfile(2, (1, 2), (0, 1), (1, 1)), (1, 2, 3, 4))
+    for subset in ((0, 0), (-1, 0), (0, 9), (0,), (0, 1, 2)):
+        with pytest.raises(ValueError, match=r"is not k = 2 distinct positions in range\(4\)"):
+            mds_system_matrix(code, subset)
+    assert mds_system_matrix(code, (3, 0)).rows == 2
 
 
 def test_theorem31_example_3_2_all_six(f16):
@@ -345,28 +355,46 @@ def test_chain_membership_violations(f16):
         subfield_chain_construct(f16, (16, 16), alpha, 2, (1,), (0,), (2,))
     with pytest.raises(ValueError, match="ambient"):
         subfield_chain_construct(f16, (2, 4), (0, 1), 1, (1,), (0,), (2,))
+    with pytest.raises(ValueError, match="ell \\+ 1 field orders"):
+        subfield_chain_construct(f16, (16,), alpha, 2, (1,), (0,), (2,))
+    # a is outside F_4, so it cannot be eta_1 of the chain F_2 < F_4 < F_16
+    with pytest.raises(ValueError, match="^eta_1 = a is outside F_4$"):
+        subfield_chain_construct(f16, (2, 4, 16), (0, 1), 1, (1, 2), (0, 0), (f16.parse("a"), 1))
 
 
 # -- double-twist closed forms -----------------------------------------------------------
 
 
 def test_forbidden_eta1_for_k1(f7):
-    alpha = (1, 2, 3)
-    eta1_excl, eta2_excl = forbidden_eta_sets(f7, alpha, 1, eta2=1)
-    # k=1: each single point {x} excludes eta1 = -1/x
-    base = {f7.mul(f7.neg(1), f7.inv(x)) for x in alpha}
-    assert base <= eta1_excl
-    assert eta2_excl == frozenset()
+    """Hooks (0, 1) need k >= 2, so k = 1 is no double-twist code; like
+    k = 0 and k = n + 1, the exclusions refuse it as theorem42_is_mds
+    does, with the same message."""
+    alpha = (1, 2, 3, 4)
+    for k in (0, 1, 5):
+        with pytest.raises(ValueError) as want:
+            theorem42_is_mds(f7, alpha, k, 1, 1)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            forbidden_eta_sets(f7, alpha, k, 1)
+
+
+def test_forbidden_eta_sets_at_k2(f7):
+    alpha = (1, 2, 3, 4)
+    eta1_excl, eta2_excl = forbidden_eta_sets(f7, alpha, 2, eta2=1)
+    # product condition: each pair {x, y} excludes eta1 = 1/(xy)
+    assert {f7.inv(f7.mul(x, y)) for x, y in itertools.combinations(alpha, 2)} <= eta1_excl
+    # each single point {x} excludes eta2 = -1/x^2
+    assert eta2_excl == {f7.neg(f7.inv(f7.mul(x, x))) for x in alpha}
 
 
 def test_forbidden_eta_sets_refuse_bad_input(f7):
     """Points pass the records' checks (9 is not read as 2 over GF(7)),
-    and eta2 must be a nonzero field element."""
+    and eta2 must be a nonzero field element: 0 fails the profile's
+    check and 7 the code's, as in the other double-twist criteria."""
     for alpha, message in (((1, 1, 2, 3), "distinct"), ((1, 2, 3, 9), "outside the field")):
         with pytest.raises(ValueError, match=message):
             forbidden_eta_sets(f7, alpha, 2, 1)
-    for eta2 in (0, 7):
-        with pytest.raises(ValueError, match="^every eta_i must be a nonzero field element$"):
+    for eta2, message in ((0, "every eta_i must be nonzero"), (7, "every eta_i must be a nonzero field element")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
             forbidden_eta_sets(f7, (1, 2, 3, 4), 2, eta2)
 
 

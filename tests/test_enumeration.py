@@ -27,9 +27,10 @@ from twistedrs.enumeration import (
     SearchHit,
     _SUBSET_CHUNK,
     _all_sets,
-    _kernel,
+    _classes,
     _orbit_reps,
     _remark44_set_counts,
+    _tables,
     count_mds_double_twisted,
     search_mds,
 )
@@ -103,18 +104,25 @@ def test_regenerate_order_skips_the_cells_a_lowered_budget_moves(monkeypatch):
     assert len(doc["cells"]) == 2
 
 
-# -- kernel context and orbit reduction ------------------------------------------
+# -- per-order tables and orbit reduction ----------------------------------------
 
 
 @pytest.mark.parametrize("q", [4, 9, 16, 17, 25, 64])
 def test_kernel_tables_match_scalar_field(q):
     ctx = Field.of_order(q)
-    add, mul, neg, inv = _kernel(q).tables
+    add, mul, neg, inv = _tables(q)
     for x in range(q):
         assert add[x].tolist() == [ctx.add(x, y) for y in range(q)]
         assert mul[x].tolist() == [ctx.mul(x, y) for y in range(q)]
     assert neg.tolist() == [ctx.neg(x) for x in range(q)]
     assert inv.tolist() == [0] + [ctx.inv(x) for x in range(1, q)]
+
+
+def test_count_arrays_refuse_an_order_past_int16():
+    # no in-budget count reaches q > 2^15, and its elements raise instead
+    # of wrapping
+    with pytest.raises(OverflowError):
+        _all_sets(2**16, 1)
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16, 17, 25, 27])
@@ -123,7 +131,7 @@ def test_class_table_matches_scalar_expression(q):
     # the whole rows the count fills at v = -u != 0 and eta1 = 1/u, are
     # exactly the zeros of 1 - u*eta1 + v*eta2 + u^2*eta1*eta2
     ctx = Field.of_order(q)
-    bad_eta2 = _kernel(q).classes
+    bad_eta2 = _classes(q)
     assert bad_eta2.shape == (q * q, q - 1)
     for u in range(q):
         for h1 in range(1, q):
@@ -147,9 +155,8 @@ def test_bad_eta2_rule_matches_class_table(q):
     # the scalar per-eta1 rule of each (u, v) class against the kernel's
     # table and its whole-row rule (v = -u != 0 at eta1 = 1/u)
     ctx = Field.of_order(q)
-    kern = _kernel(q)
-    _, _, neg, inv = kern.tables
-    table = kern.classes
+    _, _, neg, inv = _tables(q)
+    table = _classes(q)
     every = set(range(1, q))
     for u in range(q):
         for v in range(q):
@@ -175,7 +182,7 @@ def test_set_counts_match_scalar_oracle(q):
         sets = [holding]
         if n < q:  # GF(8) has only 7 nonzero points
             sets.append(sorted(rng.sample(range(1, q), n)))
-        tallies = _remark44_set_counts(_kernel(q), n, k, np.array(sets, _kernel(q).dtype))
+        tallies = _remark44_set_counts(q, n, k, np.array(sets, np.int16))
         oracle = [
             sum(
                 remark44_is_mds(ctx, alpha, k, eta1, eta2).is_mds
@@ -240,7 +247,7 @@ def test_saturation_exit_matches_scalar_oracle(q, n, k, sets):
     )
     assert oracle[1] == 0 and bad_in_first_chunk(full, full)
     assert oracle[2] == 0 and not bad_in_first_chunk(late, late)
-    tallies = _remark44_set_counts(_kernel(q), n, k, np.array(sets, _kernel(q).dtype))
+    tallies = _remark44_set_counts(q, n, k, np.array(sets, np.int16))
     assert tallies.tolist() == oracle
 
 
@@ -310,9 +317,9 @@ def test_orbit_counts(q, n, orbits):
 def test_count_lists_every_set_only_for_the_histogram(monkeypatch):
     calls = []
 
-    def counting(kern, n):
+    def counting(q, n):
         calls.append(n)
-        return _all_sets(kern, n)
+        return _all_sets(q, n)
 
     _orbit_reps(16, 7)  # warm the cache
     monkeypatch.setattr(enumeration, "_all_sets", counting)

@@ -178,6 +178,10 @@ def test_construct_even_preconditions(f16, f81):
         construct_even(f16, 15, (2,), (1,), eta)
     with pytest.raises(ValueError, match="n - k"):
         construct_even(f16, 3, (2, 4), (1, 2), (1, 1))
+    with pytest.raises(ValueError, match="k > 1"):
+        construct_even(f16, 1, (2,), (1,), eta)
+    with pytest.raises(ValueError, match="at least one twist"):
+        construct_even(f16, 3, (), (), ())
 
 
 def _random_even_params(ctx, rng, k):
@@ -297,6 +301,8 @@ def test_construct_odd_preconditions(f16, f81):
         construct_odd(f81, 5, (4, 5), (2, 3), (1, 1))
     with pytest.raises(ValueError, match="k > 2"):
         construct_odd(f81, 2, (1,), (2,), (1,))
+    with pytest.raises(ValueError, match="at least one twist"):
+        construct_odd(f81, 5, (), (), ())
 
 
 def _random_odd_params(ctx, rng, k):

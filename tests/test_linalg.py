@@ -164,7 +164,7 @@ def test_null_space_vectors_annihilate(f5, f16):
                 assert all(x == 0 for x in m.mul_vector(v))
 
 
-def test_dimension_mismatch_errors(f5):
+def test_dimension_mismatch_errors(f5, f7):
     a = Matrix(f5, [[1, 2]])
     b = Matrix(f5, [[1, 2, 3]])
     with pytest.raises(ValueError):
@@ -173,6 +173,18 @@ def test_dimension_mismatch_errors(f5):
         a.det()
     with pytest.raises(ValueError):
         row_space_intersection(a, b)
+    with pytest.raises(ValueError, match="ragged rows"):
+        Matrix(f5, [[1, 2], [3]])
+    with pytest.raises(ValueError, match="dimension mismatch in add"):
+        a.add(b)
+    with pytest.raises(ValueError, match="dimension mismatch in stack"):
+        a.stack(b)
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        a.mul_vector([1, 2, 3])
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        a.left_mul_vector([1, 2])
+    with pytest.raises(ValueError, match="different fields"):
+        a.mat_mul(Matrix(f7, [[1], [2]]))
 
 
 def row_space_set(ctx, m):
