@@ -193,10 +193,10 @@ def forbidden_eta_sets(ctx: Field, alpha, k: int, eta2: FieldElement):
     combines the product condition (-1)^k / prod over every k-subset of
     nonzero points with the rational condition evaluated at the given
     eta2; subsets where eta2 equals (-1)^k / prod are skipped there since
-    the rational is undefined (and imposes nothing) at those pairs.  The
-    eta2 set collects (-1)^(k-1) / (sum * prod) over (k-1)-subsets of
-    nonzero points with nonzero sum.  It refuses what theorem42_is_mds
-    refuses.
+    the rational is undefined (and imposes nothing) at those pairs, and a
+    rational value 0 is dropped, as eta1 = 0 is never a twist.  The eta2
+    set collects (-1)^(k-1) / (sum * prod) over (k-1)-subsets of nonzero
+    points with nonzero sum.  It refuses what theorem42_is_mds refuses.
     """
     alpha = _double_twist_points(ctx, alpha, k, ctx.one, eta2)
     nz = [x for x in alpha if x != 0]
@@ -204,7 +204,7 @@ def forbidden_eta_sets(ctx: Field, alpha, k: int, eta2: FieldElement):
     for _, e in _elem_sym_walk(ctx, nz, k):
         eta1_excl.update(_eta1_exclusions(ctx, e, k, eta2))
     eta2_excl = {_eta2_exclusion(ctx, e) for _, e in _elem_sym_walk(ctx, nz, k - 1)}
-    return frozenset(eta1_excl - {None}), frozenset(eta2_excl - {None})
+    return frozenset(eta1_excl - {None, 0}), frozenset(eta2_excl - {None})
 
 
 def remark44_class(ctx: Field, values, k: int) -> tuple[FieldElement, FieldElement]:

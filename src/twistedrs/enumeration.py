@@ -120,6 +120,8 @@ def _tables(q: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     mul = np.array([[ctx.mul(x, y) for y in elems] for x in elems], np.int16)
     neg = np.array([ctx.neg(x) for x in elems], np.int16)
     inv = np.array([0] + [ctx.inv(x) for x in elems[1:]], np.int16)
+    for arr in (add, mul, neg, inv):
+        arr.setflags(write=False)  # every count of this order shares them
     return add, mul, neg, inv
 
 
@@ -143,6 +145,7 @@ def _classes(q: int) -> np.ndarray:
         slope = add[v, mul[mul[u, u], h1]]  # expr = const + eta2 * slope
         const = add[1, neg[mul[u, h1]]]
         bad_eta2[u] = mul[neg[const], inv[slope]]  # inv[0] = 0
+    bad_eta2.setflags(write=False)  # shared like _tables; the reshaped view is read-only too
     return bad_eta2.reshape(q * q, q - 1)
 
 

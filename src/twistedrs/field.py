@@ -393,12 +393,6 @@ class Field:
                     s = -1
         return exp[s] if s >= 0 else 0
 
-    def prod(self, xs) -> FieldElement:
-        return reduce(self.mul, xs, self.one)
-
-    def sum(self, xs) -> FieldElement:
-        return reduce(self.add, xs, self.zero)
-
     def sign(self, k: int) -> FieldElement:
         """(-1)^k as a field element."""
         return self.one if k % 2 == 0 else self.neg(self.one)

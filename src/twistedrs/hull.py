@@ -95,13 +95,6 @@ def _blocks(code: MultiTwistedCode, pts) -> tuple[Matrix, Matrix]:
     return a, Matrix(ctx, b)
 
 
-def _blocks_generator(code: MultiTwistedCode) -> Matrix:
-    """[A_1 + B_1 : A_gamma + B_gamma], the proof-literal row layout; the
-    tests check that it equals the code's generator matrix."""
-    one, gamma = (a.add(b).data for a, b in (_blocks(code, pts) for pts in _halves(code)))
-    return Matrix(code.ctx, [r1 + rg for r1, rg in zip(one, gamma)])
-
-
 def construct_even(ctx: Field, k: int, t, h, eta) -> MultiTwistedCode:
     """[2k, k] code over even q with guaranteed nontrivial hull.
 

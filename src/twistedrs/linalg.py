@@ -25,10 +25,6 @@ class Matrix:
             raise ValueError("ragged rows")
         self.data = [list(r) for r in data]
 
-    @classmethod
-    def identity(cls, ctx: Field, n: int) -> "Matrix":
-        return cls(ctx, [[ctx.one if i == j else 0 for j in range(n)] for i in range(n)])
-
     def __eq__(self, other):
         return (
             isinstance(other, Matrix)
@@ -60,9 +56,6 @@ class Matrix:
         ctx = self.ctx
         ot = other.transpose().data
         return Matrix(ctx, [[ctx.dot(row, col) for col in ot] for row in self.data])
-
-    def submatrix(self, row_idx, col_idx) -> "Matrix":
-        return Matrix(self.ctx, [[self.data[i][j] for j in col_idx] for i in row_idx])
 
     def stack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
@@ -142,11 +135,6 @@ class Matrix:
     def row_space_basis(self) -> "Matrix":
         reduced, pivots, _, _ = self._eliminate()
         return Matrix(self.ctx, reduced[: len(pivots)])
-
-    def mul_vector(self, v: list[FieldElement]) -> list[FieldElement]:
-        if len(v) != self.cols:
-            raise ValueError("dimension mismatch")
-        return [self.ctx.dot(row, v) for row in self.data]
 
     def left_mul_vector(self, v: list[FieldElement]) -> list[FieldElement]:
         if len(v) != self.rows:

@@ -69,11 +69,6 @@ def write_goldens(out_dir: str, orders=FIELD_ORDERS):
     return paths
 
 
-def load_golden(out_dir: str, q: int) -> dict:
-    with open(os.path.join(out_dir, f"table1_q{q}.json"), "r", encoding="utf-8") as fh:
-        return json.load(fh)
-
-
 def _orders(text: str) -> tuple[int, ...]:
     """Comma-separated field orders; anything but prime powers is a usage error."""
     try:

@@ -26,6 +26,8 @@ from twistedrs.field import Field
 from twistedrs.hull import construct_even, construct_odd
 from twistedrs.linalg import Matrix, row_space_intersection
 
+from helpers import mul_vector, submatrix
+
 
 EX43_ALPHA = ("0", "a^3 + a^2", "a^3 + a^2 + a + 1", "a^3 + 1", "1")
 EX32_ALPHA = ("0", "a^2", "a + 1", "a^2 + a", "a^3 + a + 1")
@@ -105,7 +107,7 @@ def test_twisted_poly_matches_generator(f16):
         code = rand_code(f16, rng, n=6, k=3)
         g = generator_matrix(code)
         msg = [rng.randrange(16) for _ in range(3)]
-        assert encode(code, msg) == g.transpose().mul_vector(msg)
+        assert encode(code, msg) == mul_vector(g.transpose(), msg)
 
 
 def test_wrong_message_length(f16):
@@ -232,7 +234,7 @@ def test_example_5_6_distance_budget_and_true_value(f81):
     best = 0
     for size in range(view.n - 1, 0, -1):
         if any(
-            view.g.submatrix(range(view.k), cols).rank() < view.k
+            submatrix(view.g, range(view.k), cols).rank() < view.k
             for cols in itertools.combinations(range(view.n), size)
         ):
             best = size
@@ -258,7 +260,7 @@ def _per_subset_scan(view):
     """Reference for the prefix walk: one k x k elimination per column
     subset, in lexicographic order; (is_mds, lex-first singular subset)."""
     for cols in itertools.combinations(range(view.n), view.k):
-        if not view.g.submatrix(range(view.k), cols).is_nonsingular():
+        if not submatrix(view.g, range(view.k), cols).is_nonsingular():
             return False, cols
     return True, None
 

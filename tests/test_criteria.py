@@ -35,6 +35,8 @@ from twistedrs.criteria import (
 from twistedrs.field import Field
 from twistedrs.linalg import Matrix
 
+from helpers import field_prod, field_sum
+
 
 EX32_ALPHA = ("0", "a^2", "a + 1", "a^2 + a", "a^3 + a + 1")
 EX32_ETA1 = "a^3 + a^2"
@@ -98,7 +100,7 @@ def test_sigma_monic_and_constant_term(f16):
         vals = rng.sample(range(16), 3)
         s = sigma_coeffs(f16, vals)
         assert s[3] == f16.one
-        assert s[0] == f16.mul(f16.sign(3), f16.prod(vals))
+        assert s[0] == f16.mul(f16.sign(3), field_prod(f16, vals))
         if 0 in vals:
             assert s[0] == 0
 
@@ -386,6 +388,19 @@ def test_forbidden_eta_sets_at_k2(f7):
     assert eta2_excl == {f7.neg(f7.inv(f7.mul(x, x))) for x in alpha}
 
 
+def test_forbidden_eta1_set_never_holds_zero(f7):
+    """eta1 = 0 is no twist, so the eta1 set leaves out the 0 that the
+    rational condition takes where its numerator vanishes."""
+    eta1_excl, _ = forbidden_eta_sets(f7, (1, 2, 3, 4), 2, eta2=1)
+    assert eta1_excl == set(range(1, 7))
+    for ctx in (f7, Field.of_order(8)):
+        for alpha in itertools.combinations(range(ctx.q), 5):
+            for k in (2, 3):
+                for eta2 in range(1, ctx.q):
+                    eta1_excl, eta2_excl = forbidden_eta_sets(ctx, alpha, k, eta2)
+                    assert 0 not in eta1_excl and 0 not in eta2_excl
+
+
 def test_forbidden_eta_sets_refuse_bad_input(f7):
     """Points pass the records' checks (9 is not read as 2 over GF(7)),
     and eta2 must be a nonzero field element: 0 fails the profile's
@@ -425,7 +440,7 @@ def test_pairs_outside_exclusions_pass_remark44(f7):
     for alpha in itertools.combinations(range(7), 5):
         # at these eta2 the rational eta1 exclusion is undefined for some subset
         nonzero = [x for x in alpha if x]
-        guards = {f7.div(f7.sign(k), f7.prod(vals)) for vals in itertools.combinations(nonzero, k)}
+        guards = {f7.div(f7.sign(k), field_prod(f7, vals)) for vals in itertools.combinations(nonzero, k)}
         for eta2 in range(1, 7):
             eta1_excl, eta2_excl = forbidden_eta_sets(f7, alpha, k, eta2)
             if eta2 in eta2_excl or eta2 in guards:
@@ -542,7 +557,7 @@ def test_full_length_k2_diagonal_is_family_1(q):
     assert len(family_1) == (0 if q % 2 == 0 else (q - 1) // 2)
     assert len(hits) == FULL_LENGTH_K2_PAIRS[q]
     # family 2, a conjecture checked over these fields: eta2 = eta1/9 off the diagonal
-    nine = ctx.sum([ctx.one] * 9)
+    nine = field_sum(ctx, [ctx.one] * 9)
     assert all(nine and e2 == ctx.div(e1, nine) for e1, e2 in hits if e1 != e2)
 
 

@@ -35,7 +35,8 @@ from twistedrs.enumeration import (
     search_mds,
 )
 from twistedrs.field import Field
-from twistedrs.table1 import load_golden
+
+from helpers import load_golden
 
 
 def test_task_validation():
@@ -116,6 +117,17 @@ def test_kernel_tables_match_scalar_field(q):
         assert mul[x].tolist() == [ctx.mul(x, y) for y in range(q)]
     assert neg.tolist() == [ctx.neg(x) for x in range(q)]
     assert inv.tolist() == [0] + [ctx.inv(x) for x in range(1, q)]
+
+
+def test_count_caches_are_read_only():
+    # every count of an order shares these arrays, so one stray write
+    # would change every later count (186 became 213 over GF(7))
+    task = EnumTask(7, 5, 3)
+    assert count_mds_double_twisted(task).total_count == 186
+    for arr in (*_tables(7), _classes(7)):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[(1,) * arr.ndim] += 1
+    assert count_mds_double_twisted(task).total_count == 186
 
 
 def test_count_arrays_refuse_an_order_past_int16():

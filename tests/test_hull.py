@@ -13,7 +13,6 @@ from twistedrs.codes import min_distance_bruteforce
 from twistedrs.enumeration import search_mds
 from twistedrs.field import Field
 from twistedrs.hull import (
-    _blocks_generator,
     construct_even,
     construct_odd,
     gram_decomposition,
@@ -23,6 +22,8 @@ from twistedrs.hull import (
 )
 from twistedrs.linalg import Matrix
 from twistedrs.profiles import load_profile
+
+from helpers import blocks_generator, field_sum
 
 
 def strings(ctx, m):
@@ -51,7 +52,7 @@ def test_theta_closed_form_vs_literal_f81(f81):
     for m in range(81):
         expect = (5 % 3) if m % 5 == 0 else 0
         assert power_sum_theta(f81, 5, m) == expect
-        assert f81.sum(f81.pow(x, m) for x in subgroup) == expect
+        assert field_sum(f81, (f81.pow(x, m) for x in subgroup)) == expect
 
 
 def test_theta_bad_subgroup_order(f16):
@@ -200,7 +201,7 @@ def test_construct_even_random_draws_have_hull(f16):
         t, h, eta = _random_even_params(ctx, rng, k)
         code = construct_even(ctx, k, t, h, eta)
         g = generator_matrix(code)
-        assert g == _blocks_generator(code)
+        assert g == blocks_generator(code)
         gp = gram_decomposition(code)
         assert gp.total == g.mat_mul(g.transpose())
         view = LinearCodeView.of_code(code)
@@ -323,7 +324,7 @@ def test_construct_odd_random_draws_have_hull():
         t, h, eta = _random_odd_params(ctx, rng, k)
         code = construct_odd(ctx, k, t, h, eta)
         g = generator_matrix(code)
-        assert g == _blocks_generator(code)
+        assert g == blocks_generator(code)
         gp = gram_decomposition(code)
         assert gp.total == g.mat_mul(g.transpose())
         view = LinearCodeView.of_code(code)
@@ -346,7 +347,7 @@ def test_gram_parts_sum_on_random_constructions(f16):
             code = construct_odd(f9, 4, *_random_odd_params(f9, rng, 4))
         gp = gram_decomposition(code)
         g = generator_matrix(code)
-        assert g == _blocks_generator(code)
+        assert g == blocks_generator(code)
         assert gp.total == g.mat_mul(g.transpose())
 
 
@@ -372,11 +373,11 @@ def test_gram_decomposition_reads_the_code(tmp_path, capsys, f16, f81):
         for same in (MultiTwistedCode(code.ctx, code.profile, code.alpha), load_profile(str(path))):
             assert same == code
             assert gram_decomposition(same) == parts
-            assert _blocks_generator(same) == generator_matrix(code)
+            assert blocks_generator(same) == generator_matrix(code)
         half = code.n // 2
         for alpha in (code.alpha[half:] + code.alpha[:half], tuple(range(code.n))):
             other = MultiTwistedCode(code.ctx, code.profile, alpha)
-            for call in (gram_decomposition, _blocks_generator):
+            for call in (gram_decomposition, blocks_generator):
                 with pytest.raises(ValueError, match="doubled multiplicative subgroup"):
                     call(other)
     # n/2 = 4 does not divide 15: refused before subgroup_eval is asked
@@ -426,8 +427,10 @@ def test_calls_do_not_run_their_oracles(f7, f16, f81, monkeypatch):
     def oracle(*args, **kw):
         raise AssertionError("a library call ran its oracle")
 
+    # the block layout's oracle, blocks_generator, lives in the tests, so
+    # gram_decomposition cannot reach it; the package's own oracles are patched
     for mod in (codes, criteria, enumeration, hull):
-        for name in ("hull_direct", "_blocks_generator", "forbidden_eta_sets", "generator_matrix"):
+        for name in ("hull_direct", "forbidden_eta_sets", "generator_matrix"):
             monkeypatch.setattr(mod, name, oracle, raising=False)
     assert [hull_report(v) for v in views] == reports
     again = [construct_even(*even_args), construct_odd(*odd_args)]
@@ -435,6 +438,8 @@ def test_calls_do_not_run_their_oracles(f7, f16, f81, monkeypatch):
     assert [gram_decomposition(c) for c in again] == parts
     assert [list(search()) for search in searches] == hits
     with monkeypatch.context() as mp:
-        mp.setattr(Field, "sum", oracle)
+        mp.setattr(Field, "add", oracle)  # the literal sum, field_sum, adds
         mp.setattr(Field, "pow", oracle)
+        with pytest.raises(AssertionError, match="ran its oracle"):
+            field_sum(f81, [f81.one, f81.one])
         assert [power_sum_theta(f81, 5, m) for m in range(12)] == thetas
