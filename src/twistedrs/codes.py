@@ -265,22 +265,22 @@ def is_mds_bruteforce(view: LinearCodeView) -> MdsVerdict:
     """MDS iff every k-subset of generator columns is independent.
 
     The subset walk keeps an echelon basis of each prefix's columns, each
-    1 at its pivot, and reduces each next column j against it.  A column
-    that reduces to zero makes every completion of its prefix singular, so
-    the first subset the walk dooms is the lex-first singular one."""
+    unnormalized with -1/pivot beside it, and reduces each next column j
+    against it.  A column that reduces to zero makes every completion of
+    its prefix singular, so the first subset the walk dooms is the
+    lex-first singular one."""
     ctx = view.ctx
     cols = list(zip(*view.g.data))
 
-    def reduce(basis, j):  # basis[i]: (pivot, column prefix[i] reduced and scaled)
+    def reduce(basis, j):  # basis[i]: (pivot, -1/pivot, column prefix[i] reduced)
         v = cols[j]
-        for piv, b in basis:
+        for piv, minus_inv, b in basis:
             if v[piv]:
-                v = ctx.add_scaled(v, ctx.neg(v[piv]), b)
+                v = ctx.add_scaled(v, ctx.mul(minus_inv, v[piv]), b)
         piv = next((i for i, x in enumerate(v) if x), None)
         if piv is None:
             return None
-        inv = ctx.inv(v[piv])
-        return [*basis, (piv, [ctx.mul(inv, x) for x in v])]
+        return [*basis, (piv, ctx.neg(ctx.inv(v[piv])), v)]
 
     for subset, basis in subset_walk(view.n, view.k, [], reduce):
         if basis is None:

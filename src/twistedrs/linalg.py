@@ -1,10 +1,12 @@
 """Exact dense linear algebra over a Field context.
 
 Matrices are small (code lengths stay below ~100), so everything is plain
-row-major lists of element indices reduced by Gauss-Jordan elimination.
-Pivoting is deterministic: leftmost nonzero column, topmost nonzero row,
-pivot normalized to 1.  No numerical concerns exist in exact arithmetic,
-so the same elimination pass serves RREF, rank, determinant and kernel.
+row-major lists of element indices.  Pivoting is deterministic: leftmost
+nonzero column, topmost nonzero row.  One forward-elimination pass, with
+its pivots left unnormalized, decides rank, determinant and
+nonsingularity; RREF and the kernel add a back pass that scales each
+pivot to 1 and clears above it.  No numerical concerns exist in exact
+arithmetic, so that one pass serves every routine here.
 """
 
 from __future__ import annotations
@@ -64,64 +66,76 @@ class Matrix:
 
     # -- elimination ---------------------------------------------------------
 
-    def _eliminate(self):
-        """Gauss-Jordan on a copy of the row list: each step replaces whole
-        rows and edits none in place, so the rows themselves are shared.
+    @staticmethod
+    def forward(ctx: Field, m: list, cols: int, stop_at_gap: bool = False):
+        """Forward elimination of the row list m, in place: row echelon form
+        with unnormalized pivots.  Each step replaces whole rows and edits
+        none, so a caller that copies only the list shares the rows safely.
+        With stop_at_gap it returns at the first column without a pivot,
+        which already decides a square matrix singular.
 
-        Returns (reduced rows, pivot column list, swap count, pivot product).
-        The pivot product is taken before normalization, so for square
-        full-rank input det = (-1)^swaps * pivot_product.
+        Returns (pivot column list, swap count, pivot product); for square
+        full-rank input det = (-1)^swaps * pivot product.
         """
-        ctx = self.ctx
-        m = list(self.data)
-        pivots = []
-        swaps = 0
-        pivot_prod = ctx.one
-        r = 0
-        for c in range(self.cols):
-            if r >= self.rows:
+        pivots, swaps, pivot_prod = [], 0, ctx.one
+        for c in range(cols):
+            r = len(pivots)
+            if r == len(m):
                 break
-            pr = next((i for i in range(r, self.rows) if m[i][c] != 0), None)
+            pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
             if pr is None:
+                if stop_at_gap:
+                    break
                 continue
             if pr != r:
                 m[r], m[pr] = m[pr], m[r]
                 swaps += 1
-            pivot = m[r][c]
-            pivot_prod = ctx.mul(pivot_prod, pivot)
-            inv = ctx.inv(pivot)
-            m[r] = [ctx.mul(inv, x) for x in m[r]]
-            for i in range(self.rows):
-                if i != r and m[i][c] != 0:
-                    m[i] = ctx.add_scaled(m[i], ctx.neg(m[i][c]), m[r])
+            pivot_prod = ctx.mul(pivot_prod, m[r][c])
+            minus_inv = ctx.neg(ctx.inv(m[r][c]))
+            for i in range(r + 1, len(m)):
+                if m[i][c] != 0:
+                    m[i] = ctx.add_scaled(m[i], ctx.mul(minus_inv, m[i][c]), m[r])
             pivots.append(c)
-            r += 1
-        return m, pivots, swaps, pivot_prod
+        return pivots, swaps, pivot_prod
+
+    def _reduce(self):
+        """(RREF rows, pivot column list): the forward pass, then a back pass
+        from the last pivot up that scales each pivot to 1 and clears the
+        entries above it."""
+        ctx = self.ctx
+        m = list(self.data)
+        pivots, _, _ = self.forward(ctx, m, self.cols)
+        for r in range(len(pivots) - 1, -1, -1):
+            c = pivots[r]
+            inv = ctx.inv(m[r][c])
+            m[r] = row = [ctx.mul(inv, x) for x in m[r]]
+            for i in range(r):
+                if m[i][c] != 0:
+                    m[i] = ctx.add_scaled(m[i], ctx.neg(m[i][c]), row)
+        return m, pivots
 
     def rref(self) -> "Matrix":
-        reduced, _, _, _ = self._eliminate()
-        return Matrix(self.ctx, reduced)
+        return Matrix(self.ctx, self._reduce()[0])
 
     def rank(self) -> int:
-        _, pivots, _, _ = self._eliminate()
-        return len(pivots)
+        return len(self.forward(self.ctx, list(self.data), self.cols)[0])
 
     def det(self) -> FieldElement:
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
-        _, pivots, swaps, prod = self._eliminate()
+        pivots, swaps, prod = self.forward(self.ctx, list(self.data), self.cols, True)
         if len(pivots) < self.rows:
             return 0
         return prod if swaps % 2 == 0 else self.ctx.neg(prod)
 
     def is_nonsingular(self) -> bool:
-        return self.rows == self.cols and self.rank() == self.rows
+        return self.rows == self.cols and self.det() != 0
 
     def null_space(self) -> "Matrix":
         """Basis of the right kernel, one basis vector per row; the matrix
         has cols - rank rows (possibly zero)."""
         ctx = self.ctx
-        reduced, pivots, _, _ = self._eliminate()
+        reduced, pivots = self._reduce()
         free = [c for c in range(self.cols) if c not in pivots]
         basis = []
         for f in free:
@@ -133,7 +147,7 @@ class Matrix:
         return Matrix(ctx, basis) if basis else Matrix(ctx, [])
 
     def row_space_basis(self) -> "Matrix":
-        reduced, pivots, _, _ = self._eliminate()
+        reduced, pivots = self._reduce()
         return Matrix(self.ctx, reduced[: len(pivots)])
 
     def left_mul_vector(self, v: list[FieldElement]) -> list[FieldElement]:

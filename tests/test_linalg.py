@@ -9,38 +9,35 @@ import pytest
 from twistedrs.field import Field
 from twistedrs.linalg import Matrix, row_space_intersection
 
-from helpers import identity, mul_vector
-
-
-def laplace_det(ctx, rows):
-    """Independent determinant by cofactor expansion along the first row."""
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        if rows[0][j] == 0:
-            continue
-        minor = [[r[c] for c in range(n) if c != j] for r in rows[1:]]
-        term = ctx.mul(rows[0][j], laplace_det(ctx, minor))
-        total = ctx.add(total, term if j % 2 == 0 else ctx.neg(term))
-    return total
-
-
-def minor_rank(ctx, rows, cap):
-    """Largest r <= cap with a nonzero r x r minor, via laplace_det."""
-    nr, nc = len(rows), len(rows[0])
-    for r in range(min(cap, nr, nc), 0, -1):
-        for ri in itertools.combinations(range(nr), r):
-            for ci in itertools.combinations(range(nc), r):
-                sub = [[rows[i][j] for j in ci] for i in ri]
-                if laplace_det(ctx, sub) != 0:
-                    return r
-    return 0
+from helpers import identity, laplace_det, minor_rank, mul_vector, naive_rref
 
 
 def rand_matrix(ctx, rng, rows, cols):
     return Matrix(ctx, [[rng.randrange(ctx.q) for _ in range(cols)] for _ in range(rows)])
+
+
+def low_rank_rows(ctx, rng, rows, cols, r):
+    """A rows x cols product of random rows x r and r x cols factors, so of
+    rank at most r, summed with scalar field operations."""
+    a = [[rng.randrange(ctx.q) for _ in range(r)] for _ in range(rows)]
+    b = [[rng.randrange(ctx.q) for _ in range(cols)] for _ in range(r)]
+    out = [[0] * cols for _ in range(rows)]
+    for i, j, t in itertools.product(range(rows), range(cols), range(r)):
+        out[i][j] = ctx.add(out[i][j], ctx.mul(a[i][t], b[t][j]))
+    return out
+
+
+def shaped_draws(ctx, rng, count, max_side=5):
+    """Seeded matrices of every shape up to max_side x max_side: in turn a
+    uniform draw, a rank-deficient product, and a draw from {0, 1}."""
+    for draw in range(count):
+        nr, nc = rng.randint(1, max_side), rng.randint(1, max_side)
+        if draw % 3 == 0:
+            yield [[rng.randrange(ctx.q) for _ in range(nc)] for _ in range(nr)]
+        elif draw % 3 == 1:
+            yield low_rank_rows(ctx, rng, nr, nc, rng.randint(0, max(0, min(nr, nc) - 1)))
+        else:
+            yield [[rng.choice((0, 1)) for _ in range(nc)] for _ in range(nr)]
 
 
 def test_permutation_like_matrix_rank(f16):
@@ -68,14 +65,61 @@ def test_rank_matches_minor_oracle_over_f7(f7):
             assert mr == 4
 
 
-@pytest.mark.parametrize("q", [7, 16])
+@pytest.mark.parametrize("q", [7, 16, 9, 27])
 def test_det_matches_laplace(q):
+    """det against cofactor expansion over GF(p), GF(2^m) and GF(p^m) with
+    p odd (Zech add_scaled), on uniform and rank-deficient square draws."""
     ctx = Field.of_order(q)
     rng = random.Random(5)
-    for _ in range(60):
-        n = rng.randint(1, 4)
-        m = rand_matrix(ctx, rng, n, n)
-        assert m.det() == laplace_det(ctx, m.data)
+    zeros = 0
+    for draw in range(90):
+        n = rng.randint(1, 5)
+        if draw % 3 == 0:
+            rows = low_rank_rows(ctx, rng, n, n, rng.randrange(n))
+        else:
+            rows = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
+        want = laplace_det(ctx, rows)
+        assert Matrix(ctx, rows).det() == want, rows
+        zeros += want == 0
+    assert zeros >= 30
+
+
+@pytest.mark.parametrize("q", [7, 9, 16, 27])
+def test_rank_matches_minor_oracle_on_every_shape(q):
+    """rank against the largest nonzero minor on rectangular and
+    rank-deficient matrices up to 5 x 5, every rank from 0 up reached."""
+    ctx = Field.of_order(q)
+    rng = random.Random(f"minor-rank/{q}")
+    seen = set()
+    for rows in shaped_draws(ctx, rng, 150):
+        want = minor_rank(ctx, rows, cap=5)
+        assert Matrix(ctx, rows).rank() == want, rows
+        seen.add(want)
+    assert seen == set(range(6))
+
+
+@pytest.mark.parametrize("q", [16, 7, 25, 27])
+def test_rref_kernel_and_row_basis_match_naive_gauss_jordan(q):
+    """rref, null_space and row_space_basis against textbook Gauss-Jordan
+    with scalar operations, on seeded rectangular and rank-deficient
+    matrices up to 6 x 6 and on the empty matrix."""
+    ctx = Field.of_order(q)
+    rng = random.Random(f"naive-rref/{q}")
+    for rows in shaped_draws(ctx, rng, 120, max_side=6):
+        m = Matrix(ctx, rows)
+        want, pivots = naive_rref(ctx, rows)
+        assert m.rref().data == want, rows
+        assert m.row_space_basis().data == want[: len(pivots)], rows
+        kernel = []
+        for f in (c for c in range(m.cols) if c not in pivots):
+            v = [0] * m.cols
+            v[f] = ctx.one
+            for row, pc in zip(want, pivots):
+                v[pc] = ctx.neg(row[f])
+            kernel.append(v)
+        assert m.null_space().data == kernel, rows
+    empty = Matrix(ctx, [])
+    assert (empty.rref().data, empty.row_space_basis().data, empty.null_space().data) == ([], [], [])
 
 
 def _forced_singular(ctx, rng, rows):
@@ -97,11 +141,12 @@ def _forced_singular(ctx, rng, rows):
 
 @pytest.mark.parametrize("q", [16, 7, 25])
 def test_is_nonsingular_matches_rank_and_det(q):
-    """is_nonsingular, the subset-system criterion's test at each k-subset,
-    against rank() == rows and det() != 0 over GF(2^m), GF(p) and GF(p^m)
-    with p odd, on seeded square matrices of size 0 to 5 (half with entries
-    0 and 1 alone, so many are singular) and on forced singular ones; it
-    leaves its matrix as it was."""
+    """is_nonsingular, rank() == rows and det() != 0 against a nonzero
+    cofactor-expansion determinant over GF(2^m), GF(p) and GF(p^m) with p
+    odd, on seeded square matrices of size 0 to 5 (half with entries 0 and
+    1 alone, so many are singular) and on forced singular ones; it leaves
+    its matrix as it was.  The three share one elimination pass, so the
+    oracle is the determinant by expansion, not each other."""
     ctx = Field.of_order(q)
     rng = random.Random(f"nonsingular/{q}")
     seen = set()
@@ -112,8 +157,8 @@ def test_is_nonsingular_matches_rank_and_det(q):
             cases = [rows] + (list(_forced_singular(ctx, rng, rows)) if size >= 2 else [])
             for case in cases:
                 m = Matrix(ctx, case)
-                want = m.rank() == size
-                assert m.is_nonsingular() == want == (m.det() != 0), case
+                want = laplace_det(ctx, case) != 0
+                assert m.is_nonsingular() == want == (m.rank() == size) == (m.det() != 0), case
                 assert m.data == case
                 seen.add((size, want))
             assert not any(Matrix(ctx, c).is_nonsingular() for c in cases[1:])
