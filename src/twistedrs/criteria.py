@@ -110,15 +110,15 @@ def theorem31_is_mds(code: MultiTwistedCode) -> MdsVerdict:
 
     Plain RS (no twists) short-circuits to MDS.  One lexicographic walk
     over the k-subsets of negated points gives each subset's e, so the
-    first singular system is the lex-first witness.  Forward elimination
-    of each subset's fresh rows stops at its first column without a pivot.
+    first singular system is the lex-first witness.  Each subset's fresh
+    rows go through forward elimination alone, with no Matrix copy.
     """
     pr = code.profile
     if pr.ell == 0:
         return MdsVerdict(True, "theorem31")
     ctx, rows, tl = code.ctx, _system_rows(code), pr.t[-1]
     for subset, e in _elem_sym_walk(ctx, [ctx.neg(a) for a in code.alpha], pr.k):
-        if len(Matrix.forward(ctx, rows(e), tl, True)[0]) < tl:
+        if len(Matrix.forward(ctx, rows(e), tl)[0]) < tl:
             return MdsVerdict(False, "theorem31", subset)
     return MdsVerdict(True, "theorem31")
 

@@ -67,12 +67,10 @@ class Matrix:
     # -- elimination ---------------------------------------------------------
 
     @staticmethod
-    def forward(ctx: Field, m: list, cols: int, stop_at_gap: bool = False):
+    def forward(ctx: Field, m: list, cols: int):
         """Forward elimination of the row list m, in place: row echelon form
         with unnormalized pivots.  Each step replaces whole rows and edits
         none, so a caller that copies only the list shares the rows safely.
-        With stop_at_gap it returns at the first column without a pivot,
-        which already decides a square matrix singular.
 
         Returns (pivot column list, swap count, pivot product); for square
         full-rank input det = (-1)^swaps * pivot product.
@@ -84,8 +82,6 @@ class Matrix:
                 break
             pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
             if pr is None:
-                if stop_at_gap:
-                    break
                 continue
             if pr != r:
                 m[r], m[pr] = m[pr], m[r]
@@ -123,7 +119,7 @@ class Matrix:
     def det(self) -> FieldElement:
         if self.rows != self.cols:
             raise ValueError("determinant requires a square matrix")
-        pivots, swaps, prod = self.forward(self.ctx, list(self.data), self.cols, True)
+        pivots, swaps, prod = self.forward(self.ctx, list(self.data), self.cols)
         if len(pivots) < self.rows:
             return 0
         return prod if swaps % 2 == 0 else self.ctx.neg(prod)
