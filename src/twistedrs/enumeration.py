@@ -10,10 +10,10 @@ code and brute-forcing it) for every in-budget task.
 The closed-form path is vectorized with numpy lookup tables.  The
 expression of one k-subset is 1 - u*eta1 + v*eta2 + u^2*eta1*eta2, so
 its bad eta pairs depend only on its class (u, v) in GF(q)^2.  The bad
-eta2 of every class and eta1 are tabulated once per field; a set then
-marks the table rows of the classes its subsets hit, instead of testing
-all (q-1)^2 pairs, and fills the whole eta2 row at eta1 = 1/u of each
-class with v = -u != 0, where the expression is 0 for every eta2.  The
+eta2 of every class and eta1 are tabulated once per field; each k-subset
+of a set then marks the table row of its class, instead of testing all
+(q-1)^2 pairs, and fills the whole eta2 row at eta1 = 1/u when
+v = -u != 0, where the expression is 0 for every eta2.  The
 k-subsets come in lexicographic chunks of 64, and after each chunk a set
 whose (q-1)^2 pairs are all bad leaves the batch with tally 0, so a set
 that counts 0 usually costs a fraction of its subsets.
@@ -207,8 +207,10 @@ def _orbit_reps(q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 # k-subsets per step of the count: after each step a set whose bad grid is
-# full leaves the batch.  Chunks of 256 and a shuffled subset order were
-# both slower at q = 19.
+# full leaves the batch.  Chunks of 64, 128 and 256 took 109, 135 and 277 ms
+# at (19, 10, 5), 61, 80 and 160 ms at (19, 12, 6), and 11.8, 11.3 and
+# 12.6 ms over a table1-cells pass (seed 7; one pinned core, best of 5).  A
+# shuffled subset order was slower at q = 19.
 _SUBSET_CHUNK = 64
 
 
@@ -253,23 +255,16 @@ def _remark44_set_counts(q: int, n: int, k: int, sets_arr: np.ndarray) -> np.nda
         u = mul[sign_k][ek]  # coefficient of eta1
         v = mul[sign_k][add[mul[ekm1, e1], neg[ek]]]  # coefficient of eta2
 
-        # each (set, class) pair once; int32 indices suffice, as a batch's
-        # grid has fewer than 2^31 cells, and numpy reads them without an
-        # intp copy
+        # every (set, subset) pair marks its class's bad eta2 in each eta1
+        # row; two subsets of one class mark the same cells, and a cell
+        # marked twice is still just bad, so no class is deduplicated
         bsz = len(sets)
-        hit = np.zeros((bsz, q * q), bool)
-        hit[np.arange(bsz)[:, None], u.astype(np.int32) * q + v] = True
-        si, cls = np.nonzero(hit)
-        # flat grid index of (set, eta1, bad eta2)
-        flat = (si * (q - 1)).astype(np.int32)[:, None] + np.arange(q - 1, dtype=np.int32)
-        flat *= q
-        flat += classes[cls]
-        grid.reshape(-1)[flat] = True
+        rows = (np.arange(bsz)[:, None] * (q - 1) + np.arange(q - 1)) * q
+        grid.reshape(-1)[rows[:, None, :] + classes[u.astype(np.intp) * q + v]] = True
         # the whole eta2 row is bad, slope and constant both 0, exactly
         # where v = -u != 0 and eta1 = 1/u
-        cu, cv = np.divmod(cls, q)
-        row = (cv == neg[cu]) & (cu != 0)
-        grid[si[row], inv[cu[row]] - 1, 1:] = True
+        whole = (v == neg[u]) & (u != 0)
+        grid[np.nonzero(whole)[0], inv[u[whole]] - 1, 1:] = True
 
         if start + size < n_sub:
             full = grid.reshape(bsz, cells).all(axis=1)
@@ -324,13 +319,10 @@ def count_mds_double_twisted(task: EnumTask, histogram: bool = False) -> EnumRes
         tallies = np.array([_bruteforce_set_count(_field(q), k, s) for s in sets.tolist()], np.int64)
     else:
         sk = min(_SUBSET_CHUNK, comb(n, k))
-        # keep one chunk's (B, S, k) value tensor, the (B, q*q) class presence
-        # and bad pair arrays and the (pairs, q-1) scatter index small; a set
-        # hits at most min(S, q*q) classes in one chunk
-        batch = max(
-            1,
-            min(4_000_000 // (sk * k), 8_000_000 // (q * q), 1_000_000 // (min(sk, q * q) * (q - 1))),
-        )
+        # keep one chunk's (B, S, k) value tensor and its (B*S, q-1) scatter
+        # index small; the (B, q-1, q) grid then stays under 7 MB in every
+        # in-budget cell
+        batch = max(1, min(4_000_000 // (sk * k), 1_000_000 // (sk * (q - 1))))
         tallies = np.concatenate(
             [_remark44_set_counts(q, n, k, sets[i : i + batch]) for i in range(0, len(sets), batch)]
         )

@@ -533,8 +533,12 @@ def test_four_way_agreement_f7_samples(f7):
     _quad_oracle_scan(f7, (1, 2, 3, 4, 6), 3)
 
 
-# MDS (eta1, eta2) pairs of the double-twist code on alpha = all of GF(q), k = 2
-FULL_LENGTH_K2_PAIRS = {5: 4, 7: 6, 8: 0, 9: 4, 11: 10, 13: 12, 16: 0, 17: 16, 19: 18, 23: 22, 25: 24, 27: 13}
+# MDS (eta1, eta2) pairs of the double-twist code on alpha = all of GF(q), k = 2,
+# at every prime power q <= 49: q - 1 for p >= 5, (q - 1)/2 for p = 3, 0 for p = 2
+FULL_LENGTH_K2_PAIRS = {
+    4: 0, 5: 4, 7: 6, 8: 0, 9: 4, 11: 10, 13: 12, 16: 0, 17: 16, 19: 18, 23: 22, 25: 24,
+    27: 13, 29: 28, 31: 30, 32: 0, 37: 36, 41: 40, 43: 42, 47: 46, 49: 48,
+}
 
 
 @pytest.mark.parametrize("q", sorted(FULL_LENGTH_K2_PAIRS))
@@ -542,23 +546,35 @@ def test_full_length_k2_diagonal_is_family_1(q):
     """README, "Full-length k = 2 codes": at eta1 = eta2 = eta the closed
     form of a pair {a, b} is (1 + a^2 eta)(1 + b^2 eta), so (eta, eta) is
     MDS on alpha = GF(q) exactly when -1/eta is a non-square, which no eta
-    is in characteristic 2.  The totals are q - 1, (q - 1)/2 at q = 9 and
-    27, and 0 at q = 8 and 16; every other hit has eta2 = eta1/9."""
+    is in characteristic 2 (family 1).  Every other hit is
+    (eta1, eta1/9) with -1/eta1 a non-square, and each such pair is a hit
+    when p >= 5 (family 2); p = 3 has none, since 9 = 0 there."""
     ctx = Field.of_order(q)
+    squares = {ctx.mul(y, y) for y in range(1, q)}
+    family_1 = {eta for eta in range(1, q) if ctx.neg(ctx.inv(eta)) not in squares}
+    nine = field_sum(ctx, [ctx.one] * 9)
     if q <= 13:
         for a, b in itertools.combinations(range(q), 2):
             for eta in range(1, q):
                 factors = [ctx.add(ctx.one, ctx.mul(ctx.mul(x, x), eta)) for x in (a, b)]
                 assert _closed_form(ctx, [a, b], 2, eta, eta) == ctx.mul(*factors)
+            # the proof of family 2: at eta1 = -1/c, eta2 = eta1/9, 9 c^2 times
+            # the form is (a^2 - c) b^2 + 8ac b + (9c^2 - a^2 c)
+            for eta in family_1 if ctx.p >= 5 else ():
+                c, a2 = ctx.neg(ctx.inv(eta)), ctx.mul(a, a)
+                form = _closed_form(ctx, [a, b], 2, eta, ctx.div(eta, nine))
+                terms = [
+                    ctx.mul(ctx.sub(a2, c), ctx.mul(b, b)),
+                    field_sum(ctx, [ctx.mul(ctx.mul(a, c), b)] * 8),
+                    ctx.mul(c, ctx.sub(ctx.mul(nine, c), a2)),
+                ]
+                assert ctx.mul(ctx.mul(nine, ctx.mul(c, c)), form) == field_sum(ctx, terms)
     hits = list(remark44_mds_etas(ctx, range(q), 2))
-    squares = {ctx.mul(y, y) for y in range(1, q)}
-    family_1 = {eta for eta in range(1, q) if ctx.neg(ctx.inv(eta)) not in squares}
     assert {e1 for e1, e2 in hits if e1 == e2} == family_1
     assert len(family_1) == (0 if q % 2 == 0 else (q - 1) // 2)
+    family_2 = {(eta, ctx.div(eta, nine)) for eta in family_1} if ctx.p >= 5 else set()
+    assert {(e1, e2) for e1, e2 in hits if e1 != e2} == family_2
     assert len(hits) == FULL_LENGTH_K2_PAIRS[q]
-    # family 2, a conjecture checked over these fields: eta2 = eta1/9 off the diagonal
-    nine = field_sum(ctx, [ctx.one] * 9)
-    assert all(nine and e2 == ctx.div(e1, nine) for e1, e2 in hits if e1 != e2)
 
 
 def test_double_twist_criteria_refuse_values_outside_the_field(f7):

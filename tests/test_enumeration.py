@@ -20,6 +20,7 @@ from twistedrs.criteria import (
     remark44_bad_eta2,
     remark44_class,
     remark44_is_mds,
+    remark44_mds_etas,
     theorem42_is_mds,
 )
 from twistedrs.enumeration import (
@@ -135,6 +136,13 @@ def test_count_arrays_refuse_an_order_past_int16():
     # of wrapping
     with pytest.raises(OverflowError):
         _all_sets(2**16, 1)
+    # GF(211) holds the last in-budget count; its class index u*q + v passes
+    # int16, and the count still matches the scalar search
+    ctx = Field.of_order(211)
+    for alpha in ([1, 2, 210, 209], [3, 100, 150, 200, 7]):
+        k = len(alpha) - 2
+        tally = _remark44_set_counts(211, len(alpha), k, np.array([alpha], np.int16))
+        assert tally.tolist() == [len(list(remark44_mds_etas(ctx, alpha, k)))]
 
 
 @pytest.mark.parametrize("q", [4, 5, 7, 8, 9, 16, 17, 25, 27])
@@ -184,7 +192,10 @@ def test_bad_eta2_rule_matches_class_table(q):
 def test_set_counts_match_scalar_oracle(q):
     # seeded random evaluation sets, one holding 0 at a middle position and
     # one without 0, against a count of the eta pairs the scalar closed form
-    # calls MDS; the kernel takes a set's points in any order
+    # calls MDS; the kernel takes a set's points in any order.  In odd
+    # characteristic a k = 2 set {a, b, -a, -b} has two pairs of one class,
+    # {a, b} and {-a, -b} of class (ab, a^2 + ab + b^2), in its one chunk,
+    # and both are scattered.
     ctx = Field.of_order(q)
     rng = random.Random(q)
     for k in (2, 3, 4, 5, 6) if q <= 16 else (2, 3, 4):
@@ -194,6 +205,13 @@ def test_set_counts_match_scalar_oracle(q):
         sets = [holding]
         if n < q:  # GF(8) has only 7 nonzero points
             sets.append(sorted(rng.sample(range(1, q), n)))
+        if k == 2 and q % 2:
+            a, b = holding[0], holding[1]  # holding is [a, b, 0, c]
+            if b == ctx.neg(a):
+                b = holding[3]
+            sets.append([a, b, ctx.neg(a), ctx.neg(b)])
+            assert len(set(sets[-1])) == 4
+            assert remark44_class(ctx, (a, b), 2) == remark44_class(ctx, (ctx.neg(a), ctx.neg(b)), 2)
         tallies = _remark44_set_counts(q, n, k, np.array(sets, np.int16))
         oracle = [
             sum(
@@ -228,6 +246,7 @@ def _first_bad_ranks(ctx, alpha, k):
                 (0, 1, 2, 3, 5, 8, 10, 11, 12),
                 (1, 2, 3, 4, 0, 5, 9, 10, 11),
                 (0, 1, 3, 4, 5, 6, 8, 9, 12),
+                (0, 1, 5, 12, 8, 2, 10, 11, 3),  # 0, mu_4 and 2*mu_4
             ],
         ),
         (
@@ -236,6 +255,7 @@ def _first_bad_ranks(ctx, alpha, k):
                 (1, 2, 3, 7, 8, 10, 11, 12, 13, 15),
                 (2, 3, 4, 5, 6, 0, 7, 8, 12, 13),
                 (1, 2, 4, 5, 7, 10, 12, 13, 14, 15),
+                (1, 8, 12, 10, 15, 2, 3, 11, 7, 13),  # mu_5 and gamma*mu_5
             ],
         ),
     ],
@@ -244,12 +264,18 @@ def test_saturation_exit_matches_scalar_oracle(q, n, k, sets):
     # One batch over several subset chunks: a set with a nonzero tally and a
     # whole bad eta1 row after the first chunk, a tally-0 set (0 at a middle
     # position) whose grid is full after the first chunk and so leaves the
-    # batch, and a tally-0 set that some pair keeps alive past that chunk.
+    # batch, a tally-0 set that some pair keeps alive past that chunk, and a
+    # set with a nonzero tally that x -> c*x maps onto itself for c^k = 1.
+    # Such a map keeps every class, so two k-subsets of its second chunk
+    # share a class with u != 0, and the kernel scatters both.
     ctx = Field.of_order(q)
     assert comb(n, k) > _SUBSET_CHUNK
     ranks = [_first_bad_ranks(ctx, alpha, k) for alpha in sets]
     oracle = [sum(r is None for r in rk.values()) for rk in ranks]
-    nonzero, full, late = ranks
+    nonzero, full, late, _ = ranks
+    second = list(itertools.combinations(sets[3], k))[_SUBSET_CHUNK : 2 * _SUBSET_CHUNK]
+    classes = [remark44_class(ctx, values, k) for values in second]
+    assert oracle[3] > 0 and any(u and classes.count((u, v)) > 1 for u, v in classes)
 
     def bad_in_first_chunk(rk, pairs):
         return all(rk[p] is not None and rk[p] < _SUBSET_CHUNK for p in pairs)
