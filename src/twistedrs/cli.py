@@ -2,13 +2,15 @@
 
 Every subcommand writes a single JSON document to stdout.  Exit codes:
 0 success, 1 domain error (with a machine-readable error object), 2 usage
-error (argparse).
+error (argparse).  `table1` regenerates the Table-1 golden files, one
+`table1_q{q}.json` per field order, and prints their paths.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from math import comb
@@ -29,8 +31,15 @@ from .criteria import (
     theorem31_is_mds,
     theorem42_is_mds,
 )
-from .enumeration import EnumTask, _field, count_mds_double_twisted, search_mds
-from .field import Field
+from .enumeration import (
+    FIELD_ORDERS,
+    EnumTask,
+    _field,
+    count_mds_double_twisted,
+    regenerate_order,
+    search_mds,
+)
+from .field import Field, FieldSpec
 from .hull import construct_even, construct_odd, hull_report
 from .profiles import load_profile, matrix_to_doc, profile_to_doc
 
@@ -193,6 +202,29 @@ def _cmd_enumerate(args) -> dict:
     return doc
 
 
+def _orders(text: str) -> tuple[int, ...]:
+    """Comma-separated field orders; anything but prime powers is a usage error."""
+    try:
+        return tuple(FieldSpec.of_order(int(x)).q for x in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _cmd_table1(args) -> dict:
+    os.makedirs(args.out, exist_ok=True)
+    paths = []
+    for q in args.orders:
+        started = time.perf_counter()
+        doc = regenerate_order(q)
+        doc["elapsed"] = round(time.perf_counter() - started, 3)
+        path = os.path.join(args.out, f"table1_q{q}.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        paths.append(path)
+    return {"paths": paths}
+
+
 def _cmd_search(args) -> dict:
     if args.limit < 0:
         raise ValueError("--limit must be >= 0")
@@ -285,6 +317,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criterion", default="remark44", choices=["remark44", "bruteforce"])
     p.add_argument("--histogram", action="store_true", help="include per-evaluation-set counts")
     p.set_defaults(fn=_cmd_enumerate)
+
+    p = sub.add_parser("table1", help="regenerate the Table-1 golden files")
+    p.add_argument("--out", default="goldens/table1", help="directory for the table1_q{q}.json files")
+    p.add_argument("--orders", type=_orders, default=FIELD_ORDERS, help="comma-separated field orders")
+    p.set_defaults(fn=_cmd_table1)
 
     p = sub.add_parser("search", help="stream MDS (alpha, eta) parameters")
     _add_field_flags(p)

@@ -337,6 +337,45 @@ def count_mds_double_twisted(task: EnumTask, histogram: bool = False) -> EnumRes
     )
 
 
+# -- Table 1 goldens ------------------------------------------------------------
+# The published table is an image, so the counts are recomputed: every valid
+# (q, n, k) whose cost fits ENUM_BUDGET gets an entry keyed by the triple, and
+# the others are listed under "skipped" with their cost (`twistedrs table1`).
+
+FIELD_ORDERS = (4, 5, 7, 8, 9, 11, 13, 16, 17)
+
+
+def cells_for(q: int):
+    """(in_budget, skipped) lists of (n, k[, cost]) for one field order,
+    by the enumeration budget the count reads."""
+    in_budget, skipped = [], []
+    for n in range(4, q + 1):
+        for k in range(2, n - 1):
+            task = EnumTask(q, n, k)
+            if task.cost <= ENUM_BUDGET:
+                in_budget.append((n, k))
+            else:
+                skipped.append((n, k, task.cost))
+    return in_budget, skipped
+
+
+def regenerate_order(q: int) -> dict:
+    spec = _spec(q)
+    in_budget, skipped = cells_for(q)
+    cells = []
+    for n, k in in_budget:
+        res = count_mds_double_twisted(EnumTask(q, n, k))
+        cells.append({"n": n, "k": k, "count": res.total_count})
+    return {
+        "q": q,
+        "field": {"p": spec.p, "m": spec.m, "modulus": list(spec.modulus)},
+        "criterion": "remark44",
+        "budget": ENUM_BUDGET,
+        "cells": cells,
+        "skipped": [{"n": n, "k": k, "cost": c} for n, k, c in skipped],
+    }
+
+
 # -- parameter search ---------------------------------------------------------
 
 

@@ -74,7 +74,11 @@ def profile_to_doc(code: MultiTwistedCode) -> dict:
 
 def load_profile(path: str) -> MultiTwistedCode:
     with open(path, "r", encoding="utf-8") as fh:
-        return code_from_profile(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except RecursionError as exc:  # nesting deeper than the parser's stack
+            raise ValueError(f"malformed profile: {exc}") from None
+    return code_from_profile(doc)
 
 
 def matrix_to_doc(m) -> list[list[str]]:

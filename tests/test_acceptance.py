@@ -40,7 +40,7 @@ from twistedrs.criteria import (
     theorem31_is_mds,
     theorem42_is_mds,
 )
-from twistedrs.enumeration import EnumTask, count_mds_double_twisted
+from twistedrs.enumeration import FIELD_ORDERS, EnumTask, cells_for, count_mds_double_twisted, regenerate_order
 from twistedrs.field import Field
 from twistedrs.hull import (
     construct_even,
@@ -51,7 +51,6 @@ from twistedrs.hull import (
     subgroup_eval,
 )
 from twistedrs.linalg import Matrix
-from twistedrs.table1 import FIELD_ORDERS, cells_for, regenerate_order
 
 from helpers import field_sum, load_golden
 
@@ -399,7 +398,7 @@ def test_criterion_10_enumeration_soundness():
         assert fast.total_count == slow.total_count, (q, n, k)
     # regenerated golden files exist for every field order and the q <= 13
     # cells match a live recount
-    assert GOLDEN_DIR.is_dir(), "goldens/table1 missing; run python -m twistedrs.table1"
+    assert GOLDEN_DIR.is_dir(), "goldens/table1 missing; run python -m twistedrs table1"
     for q in FIELD_ORDERS:
         doc = load_golden(str(GOLDEN_DIR), q)
         expected_cells, expected_skips = cells_for(q)

@@ -10,7 +10,6 @@ from pathlib import Path
 import pytest
 
 import twistedrs
-from twistedrs import table1
 from twistedrs.cli import cli_main
 from twistedrs.enumeration import EnumTask, _field, count_mds_double_twisted
 from twistedrs.field import Field
@@ -173,15 +172,16 @@ def test_workers_flag_is_a_usage_error(capsys, tmp_path):
         cli_main(["enumerate", "--q", "5", "--n", "4", "--k", "2", "--workers", "2"])
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        table1.main(["--out", str(tmp_path), "--orders", "4", "--workers", "2"])
+        cli_main(["table1", "--out", str(tmp_path), "--orders", "4", "--workers", "2"])
     assert exc.value.code == 2
     assert list(tmp_path.iterdir()) == []
 
 
 def test_table1_main_writes_the_goldens(capsys, tmp_path):
-    assert table1.main(["--out", str(tmp_path), "--orders", "4,5"]) == 0
+    code, doc = run(capsys, "table1", "--out", str(tmp_path), "--orders", "4,5")
     names = ["table1_q4.json", "table1_q5.json"]
-    assert capsys.readouterr().out.split() == [str(tmp_path / name) for name in names]
+    assert code == 0
+    assert doc == {"paths": [str(tmp_path / name) for name in names]}
     golden_dir = Path(__file__).resolve().parents[1] / "goldens" / "table1"
 
     def without_elapsed(path):
@@ -196,10 +196,28 @@ def test_table1_main_writes_the_goldens(capsys, tmp_path):
 def test_table1_orders_must_be_prime_powers(capsys, tmp_path):
     for orders, message in (("6", "6 is not a prime power"), ("4,x", "invalid literal for int()")):
         with pytest.raises(SystemExit) as exc:
-            table1.main(["--out", str(tmp_path), "--orders", orders])
+            cli_main(["table1", "--out", str(tmp_path), "--orders", orders])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_table1_out_under_a_regular_file_exit_code_1(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("", encoding="utf-8")
+    code, doc = run(capsys, "table1", "--out", str(blocker / "goldens"), "--orders", "4")
+    assert code == 1
+    assert doc["error"]["type"] == "NotADirectoryError"
+    assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
+
+
+def test_table1_in_a_fresh_process_leaves_stderr_empty(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistedrs", "table1", "--orders", "4", "--out", str(tmp_path)],
+        env=_fresh_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout) == {"paths": [str(tmp_path / "table1_q4.json")]}
 
 
 def test_search_limit(capsys):
@@ -262,6 +280,16 @@ def test_domain_error_exit_code_1(capsys):
 def test_malformed_profile_exit_code_1(tmp_path, capsys, doc):
     path = write_profile(tmp_path, doc)
     code, out = run(capsys, "hull", "--profile", path)
+    assert code == 1
+    assert out["error"]["type"] == "ValueError"
+    assert out["error"]["message"].startswith("malformed profile: ")
+
+
+def test_deeply_nested_profile_exit_code_1(tmp_path, capsys):
+    # json.load runs out of stack on 100 000 nested arrays
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out = run(capsys, "hull", "--profile", str(path))
     assert code == 1
     assert out["error"]["type"] == "ValueError"
     assert out["error"]["message"].startswith("malformed profile: ")
@@ -408,12 +436,16 @@ def test_field_flags_p_m_modulus(capsys):
         assert exc.value.code == 2
 
 
+def _fresh_env() -> dict:
+    """The environment of a new interpreter that imports this package."""
+    src = str(Path(twistedrs.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
 def _fresh_python(code: str) -> str:
     """Stdout of code run in a new interpreter that imports this package."""
-    src = str(Path(twistedrs.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60, check=True
+        [sys.executable, "-c", code], env=_fresh_env(), capture_output=True, text=True, timeout=60, check=True
     )
     return proc.stdout.strip()
 

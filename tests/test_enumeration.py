@@ -15,7 +15,7 @@ from twistedrs.codes import (
     TwistProfile,
     is_mds_bruteforce,
 )
-from twistedrs import codes, enumeration, table1
+from twistedrs import codes, enumeration
 from twistedrs.criteria import (
     remark44_bad_eta2,
     remark44_class,
@@ -99,7 +99,7 @@ def test_regenerate_order_skips_the_cells_a_lowered_budget_moves(monkeypatch):
     under "skipped"; the counts read the same budget, so none raises."""
     golden = load_golden(str(Path(__file__).resolve().parents[1] / "goldens" / "table1"), 5)
     monkeypatch.setattr(enumeration, "ENUM_BUDGET", 479)
-    doc = table1.regenerate_order(5)
+    doc = enumeration.regenerate_order(5)
     assert doc["budget"] == 479
     assert doc["skipped"] == [{"n": 4, "k": 2, "cost": 480}]
     assert doc["cells"] == [c for c in golden["cells"] if (c["n"], c["k"]) != (4, 2)]
