@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Every subcommand writes a single JSON document to stdout.  Exit codes:
-0 success, 1 domain error (with a machine-readable error object), 2 usage
-error (argparse).  `table1` regenerates the Table-1 golden files, one
-`table1_q{q}.json` per field order, and prints their paths.
+0 success, 1 domain error (needs the field or a profile; a JSON error
+object), 2 usage error (a malformed or missing flag; "" is an empty list).
+`table1` regenerates the Table-1 golden files, one `table1_q{q}.json` per
+field order, and prints their paths.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .criteria import (
     theorem42_is_mds,
 )
 from .enumeration import (
+    ENUM_BUDGET,
     FIELD_ORDERS,
     EnumTask,
     _field,
@@ -44,8 +46,17 @@ from .hull import construct_even, construct_odd, hull_report
 from .profiles import load_profile, matrix_to_doc, profile_to_doc
 
 
+def _items(text: str) -> tuple[str, ...]:
+    """Comma-separated items; "" is no items."""
+    return tuple(text.split(",")) if text else ()
+
+
 def _ints(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",")) if text else ()
+    """Comma-separated integers; anything else is a usage error."""
+    try:
+        return tuple(map(int, _items(text)))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 _ELEMENTS = "comma-separated polynomials in a with coefficients below p, e.g. 1,a,a^2+1"
@@ -54,7 +65,7 @@ _ELEMENTS = "comma-separated polynomials in a with coefficients below p, e.g. 1,
 def _field_from_args(args) -> Field:
     if args.q is None:
         raise ValueError("give --q (optionally --modulus)")
-    return Field.of_order(args.q, _ints(args.modulus) if args.modulus else None)
+    return Field.of_order(args.q, args.modulus or None)
 
 
 def _code_from_args(args) -> MultiTwistedCode:
@@ -63,28 +74,27 @@ def _code_from_args(args) -> MultiTwistedCode:
     ctx = _field_from_args(args)
     if args.alpha is None or args.k is None:
         raise ValueError("without --profile, --alpha and --k are required")
-    profile = TwistProfile(
-        args.k,
-        _ints(args.t),
-        _ints(args.h),
-        ctx.parse_vector(args.eta.split(",")) if args.eta else (),
-    )
-    return MultiTwistedCode(ctx, profile, ctx.parse_vector(args.alpha.split(",")))
+    profile = TwistProfile(args.k, args.t, args.h, ctx.parse_vector(args.eta))
+    return MultiTwistedCode(ctx, profile, ctx.parse_vector(args.alpha))
 
 
-def _add_field_flags(p):
-    p.add_argument("--q", type=int, help="field order (default modulus unless --modulus is given)")
-    p.add_argument("--modulus", help="modulus coefficients c0,c1,...,cm (low to high)")
+def _add_field_flags(p, required=False):
+    p.add_argument("--q", type=int, required=required, help="field order (default modulus unless --modulus is given)")
+    p.add_argument("--modulus", type=_ints, help="modulus coefficients c0,c1,...,cm (low to high)")
+
+
+def _add_twist_flags(p, required):
+    p.add_argument("--k", type=int, required=required)
+    p.add_argument("--t", type=_ints, default=(), required=required, help="comma-separated twists")
+    p.add_argument("--h", type=_ints, default=(), required=required, help="comma-separated hooks")
+    p.add_argument("--eta", type=_items, default=(), required=required, help=f"twist coefficients: {_ELEMENTS}")
 
 
 def _add_code_flags(p):
     p.add_argument("--profile", help="code profile JSON file")
     _add_field_flags(p)
-    p.add_argument("--alpha", help=f"evaluation points: {_ELEMENTS}")
-    p.add_argument("--k", type=int)
-    p.add_argument("--t", help="comma-separated twists")
-    p.add_argument("--h", help="comma-separated hooks")
-    p.add_argument("--eta", help=f"twist coefficients: {_ELEMENTS}")
+    p.add_argument("--alpha", type=_items, help=f"evaluation points: {_ELEMENTS}")
+    _add_twist_flags(p, required=False)
 
 
 def _verdict_doc(verdict, seconds):
@@ -149,7 +159,7 @@ def _cmd_hull(args) -> dict:
 
 def _cmd_construct(args) -> dict:
     ctx = _field_from_args(args)
-    code = args.construct(ctx, args.k, _ints(args.t), _ints(args.h), ctx.parse_vector(args.eta.split(",")))
+    code = args.construct(ctx, args.k, args.t, args.h, ctx.parse_vector(args.eta))
     view = LinearCodeView.of_code(code)
     rep = hull_report(view)
     doc = profile_to_doc(code)
@@ -167,13 +177,7 @@ def _cmd_construct(args) -> dict:
 def _cmd_subfield_construct(args) -> dict:
     ctx = _field_from_args(args)
     code = subfield_chain_construct(
-        ctx,
-        _ints(args.chain),
-        ctx.parse_vector(args.alpha.split(",")),
-        args.k,
-        _ints(args.t),
-        _ints(args.h),
-        ctx.parse_vector(args.eta.split(",")),
+        ctx, args.chain, ctx.parse_vector(args.alpha), args.k, args.t, args.h, ctx.parse_vector(args.eta)
     )
     doc = profile_to_doc(code)
     start = time.perf_counter()
@@ -203,11 +207,22 @@ def _cmd_enumerate(args) -> dict:
 
 
 def _orders(text: str) -> tuple[int, ...]:
-    """Comma-separated field orders; anything but prime powers is a usage error."""
+    """Comma-separated field orders: prime powers whose cheapest cell,
+    n = q and k = 2, fits ENUM_BUDGET (orders 2 and 3 have no cell)."""
+    orders = _ints(text)
     try:
-        return tuple(FieldSpec.of_order(int(x)).q for x in text.split(","))
+        if not orders:
+            raise ValueError("give at least one field order")
+        for q in orders:
+            FieldSpec.of_order(q)
+            if q >= 4 and EnumTask(q, q, 2).cost > ENUM_BUDGET:
+                raise ValueError(
+                    f"GF({q}) has no cell within ENUM_BUDGET = {ENUM_BUDGET}: "
+                    f"the cheapest, n = {q}, k = 2, costs {EnumTask(q, q, 2).cost}"
+                )
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    return orders
 
 
 def _cmd_table1(args) -> dict:
@@ -229,22 +244,14 @@ def _cmd_search(args) -> dict:
     if args.limit < 0:
         raise ValueError("--limit must be >= 0")
     ctx = _field_from_args(args)
-    alpha = ctx.parse_vector(args.alpha.split(",")) if args.alpha else None
+    alpha = ctx.parse_vector(args.alpha) if args.alpha else None
     if not args.limit and args.strategy == "exhaustive" and args.n >= 0:  # the search refuses n < 0
-        pairs = (comb(ctx.q, args.n) if alpha is None else 1) * (ctx.q - 1) ** len(_ints(args.t))
+        pairs = (comb(ctx.q, args.n) if alpha is None else 1) * (ctx.q - 1) ** len(args.t)
         if pairs > DEFAULT_SCAN_BUDGET:
             raise BudgetExceededError(f"{pairs} (alpha, eta) pairs exceed the scan budget {DEFAULT_SCAN_BUDGET}")
     hits = []
     stream = search_mds(
-        ctx,
-        args.n,
-        args.k,
-        _ints(args.t),
-        _ints(args.h),
-        strategy=args.strategy,
-        alpha=alpha,
-        seed=args.seed,
-        trials=args.trials,
+        ctx, args.n, args.k, args.t, args.h, strategy=args.strategy, alpha=alpha, seed=args.seed, trials=args.trials
     )
     for hit in stream:
         hits.append(
@@ -293,21 +300,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name, construct in (("construct-even", construct_even), ("construct-odd", construct_odd)):
         p = sub.add_parser(name, help=f"build the {name.split('-')[1]}-q small-hull family")
-        _add_field_flags(p)
-        p.add_argument("--k", type=int, required=True)
-        p.add_argument("--t", required=True)
-        p.add_argument("--h", required=True)
-        p.add_argument("--eta", required=True, help=f"twist coefficients: {_ELEMENTS}")
+        _add_field_flags(p, required=True)
+        _add_twist_flags(p, required=True)
         p.set_defaults(fn=_cmd_construct, construct=construct)
 
     p = sub.add_parser("subfield-construct", help="guaranteed-MDS subfield-chain code")
-    _add_field_flags(p)
-    p.add_argument("--chain", required=True, help="subfield orders q0,q1,...,q")
-    p.add_argument("--alpha", required=True, help=f"evaluation points: {_ELEMENTS}")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", required=True)
-    p.add_argument("--h", required=True)
-    p.add_argument("--eta", required=True, help=f"twist coefficients: {_ELEMENTS}")
+    _add_field_flags(p, required=True)
+    p.add_argument("--chain", type=_ints, required=True, help="subfield orders q0,q1,...,q")
+    p.add_argument("--alpha", type=_items, required=True, help=f"evaluation points: {_ELEMENTS}")
+    _add_twist_flags(p, required=True)
     p.set_defaults(fn=_cmd_subfield_construct)
 
     p = sub.add_parser("enumerate", help="count MDS double-twisted codes")
@@ -324,12 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_table1)
 
     p = sub.add_parser("search", help="stream MDS (alpha, eta) parameters")
-    _add_field_flags(p)
+    _add_field_flags(p, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--t", default="1,2", help="comma-separated twists (\"\" for none)")
-    p.add_argument("--h", default="0,1", help="comma-separated hooks (\"\" for none)")
-    p.add_argument("--alpha", help=f"fix the evaluation vector: {_ELEMENTS}")
+    p.add_argument("--t", type=_ints, default="1,2", help="comma-separated twists (\"\" for none)")
+    p.add_argument("--h", type=_ints, default="0,1", help="comma-separated hooks (\"\" for none)")
+    p.add_argument("--alpha", type=_items, help=f"fix the evaluation vector: {_ELEMENTS}")
     p.add_argument("--strategy", default="exhaustive", choices=["exhaustive", "random"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=int, default=1000)
@@ -343,7 +344,7 @@ def cli_main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         doc = args.fn(args)
-    except (ValueError, ZeroDivisionError, BudgetExceededError, OSError, KeyError) as exc:
+    except (ValueError, ZeroDivisionError, BudgetExceededError, OSError) as exc:
         err = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(err, indent=None if args.json else 2))
         return 1

@@ -319,10 +319,8 @@ def count_mds_double_twisted(task: EnumTask, histogram: bool = False) -> EnumRes
         tallies = np.array([_bruteforce_set_count(_field(q), k, s) for s in sets.tolist()], np.int64)
     else:
         sk = min(_SUBSET_CHUNK, comb(n, k))
-        # keep one chunk's (B, S, k) value tensor and its (B*S, q-1) scatter
-        # index small; the (B, q-1, q) grid then stays under 7 MB in every
-        # in-budget cell
-        batch = max(1, min(4_000_000 // (sk * k), 1_000_000 // (sk * (q - 1))))
+        # keep the (B*S, q-1) scatter index small: the (B, q-1, q) grid stays under 7 MB
+        batch = max(1, 1_000_000 // (sk * (q - 1)))
         tallies = np.concatenate(
             [_remark44_set_counts(q, n, k, sets[i : i + batch]) for i in range(0, len(sets), batch)]
         )

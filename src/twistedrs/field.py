@@ -100,8 +100,6 @@ def default_modulus(p: int, m: int) -> tuple[int, ...]:
     larger q supported on a best-effort scan."""
     if (p, m) in _MODULUS_OVERRIDES:
         return _MODULUS_OVERRIDES[(p, m)]
-    if m == 1:
-        return (0, 1)  # x itself; the residue ring is GF(p) either way
     for idx in range(p**m):
         cand = tuple((idx // p**j) % p for j in range(m)) + (1,)
         if is_irreducible(cand, p):
@@ -336,7 +334,7 @@ class Field:
     def inv(self, x: FieldElement) -> FieldElement:
         if x == 0:
             raise ZeroDivisionError("inversion of zero")
-        return self._exp[(self.q - 1) - self._log[x]] if self._log[x] else self.one
+        return self._exp[(self.q - 1) - self._log[x]]
 
     def div(self, x: FieldElement, y: FieldElement) -> FieldElement:
         return self.mul(x, self.inv(y))

@@ -39,7 +39,7 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols}: {body})"
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.ctx, [list(col) for col in zip(*self.data)] if self.rows else [])
+        return Matrix(self.ctx, [list(col) for col in zip(*self.data)])
 
     def add(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows or self.cols != other.cols:
@@ -140,7 +140,7 @@ class Matrix:
             for i, pc in enumerate(pivots):
                 v[pc] = ctx.neg(reduced[i][f])
             basis.append(v)
-        return Matrix(ctx, basis) if basis else Matrix(ctx, [])
+        return Matrix(ctx, basis)
 
     def row_space_basis(self) -> "Matrix":
         reduced, pivots = self._reduce()

@@ -46,8 +46,8 @@ def _elements(ctx: Field, items, key: str) -> tuple:
 
 
 def code_from_profile(doc: dict) -> MultiTwistedCode:
-    """The code a profile document describes; a document whose values have
-    the wrong JSON types raises ValueError("malformed profile: ...")."""
+    """The code a profile document describes; a missing key or a value of the
+    wrong JSON type raises ValueError("malformed profile: ...")."""
     try:
         ctx = field_from_doc(doc)
         k = _integer(doc["k"])
@@ -55,6 +55,8 @@ def code_from_profile(doc: dict) -> MultiTwistedCode:
         h = tuple(map(_integer, doc.get("h", ())))
         eta = _elements(ctx, doc.get("eta", []), "eta")
         alpha = _elements(ctx, doc["alpha"], "alpha")
+    except KeyError as exc:
+        raise ValueError(f"malformed profile: missing key {exc}") from exc
     except TypeError as exc:
         raise ValueError(f"malformed profile: {exc}") from exc
     return MultiTwistedCode(ctx, TwistProfile(k, t, h, eta), alpha)

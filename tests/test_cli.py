@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import twistedrs
-from twistedrs.cli import cli_main
+from twistedrs.cli import build_parser, cli_main
 from twistedrs.enumeration import EnumTask, _field, count_mds_double_twisted
 from twistedrs.field import Field
 
@@ -32,6 +32,10 @@ GF7_PROFILE = {
     "h": [0, 1],
     "eta": [1, 1],
 }
+
+
+def without(doc, key):
+    return {k: v for k, v in doc.items() if k != key}
 
 
 def run(capsys, *argv):
@@ -202,6 +206,23 @@ def test_table1_orders_must_be_prime_powers(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("order", [223, 65536])
+def test_table1_order_without_an_in_budget_cell_exit_code_2_at_once(capsys, tmp_path, order):
+    # the cheapest cell of GF(q), n = q and k = 2, costs C(q, 2)(q - 1)^2
+    start = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["table1", "--out", str(tmp_path), "--orders", f"4,{order}"])
+    assert time.perf_counter() - start < 1
+    assert exc.value.code == 2
+    assert "ENUM_BUDGET" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_table1_orders_up_to_211_parse():
+    # C(211, 2) * 210^2 = 977 035 500 fits the budget; the table is not built
+    assert build_parser().parse_args(["table1", "--orders", "2,3,211"]).orders == (2, 3, 211)
+
+
 def test_table1_out_under_a_regular_file_exit_code_1(capsys, tmp_path):
     blocker = tmp_path / "file"
     blocker.write_text("", encoding="utf-8")
@@ -275,6 +296,10 @@ def test_domain_error_exit_code_1(capsys):
         dict(EX32_PROFILE, field={"p": 2.9, "m": 4.7, "modulus": [1, 1, 0, 0, 1]}),
         dict(EX32_PROFILE, field={"p": 2, "m": 4, "modulus": "11001"}),
         dict(EX32_PROFILE, field={"p": 2, "m": 4, "modulus": [1, 1, 0, 0, True]}),
+        without(EX32_PROFILE, "k"),
+        without(EX32_PROFILE, "alpha"),
+        without(EX32_PROFILE, "field"),
+        dict(EX32_PROFILE, field=without(EX32_PROFILE["field"], "modulus")),
     ],
 )
 def test_malformed_profile_exit_code_1(tmp_path, capsys, doc):
@@ -407,6 +432,79 @@ def test_field_order_past_the_cap_exit_code_1_at_once(capsys, tmp_path, argv, or
     assert time.perf_counter() - start < 1
     assert code == 1
     assert doc["error"] == {"type": "ValueError", "message": f"field order {order} exceeds the 2^16 cap"}
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["check-mds", "--q", "7", "--alpha", "0,1,2,3", "--k", "2", "--t", "1,x", "--h", "0,1", "--eta", "1,2"],
+         "--t"),
+        (["search", "--q", "7", "--n", "5", "--k", "3", "--h", "0,y"], "--h"),
+        (["subfield-construct", "--q", "16", "--chain", "4,z", "--alpha", "0,1", "--k", "1", "--t", "1", "--h", "0",
+          "--eta", "a"], "--chain"),
+        (["hull", "--q", "16", "--modulus", "1,x", "--alpha", "0,1,a", "--k", "2"], "--modulus"),
+    ],
+)
+def test_malformed_integer_list_flag_exit_code_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert f"argument {flag}: invalid literal for int()" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct-even", "--k", "3", "--t", "2,3", "--h", "1,2", "--eta", "a^3,a^3+a^2"],
+        ["construct-odd", "--k", "5", "--t", "1,2", "--h", "2,3", "--eta", "a^3+a^2,a"],
+        ["subfield-construct", "--chain", "4,16", "--alpha", "0,1", "--k", "1", "--t", "1", "--h", "0", "--eta", "a"],
+        ["search", "--n", "5", "--k", "3"],
+    ],
+)
+def test_missing_q_exit_code_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert "the following arguments are required: --q" in capsys.readouterr().err
+
+
+def test_subfield_construct_without_twists(capsys, tmp_path):
+    # ell = 0: "" is the empty list on --t, --h and --eta, as check-mds reads them
+    code, doc = run(
+        capsys, "subfield-construct", "--q", "16", "--chain", "16", "--alpha", "0,1", "--k", "1",
+        "--t", "", "--h", "", "--eta", "",
+    )
+    assert code == 0
+    assert (doc["t"], doc["h"], doc["eta"]) == ([], [], [])
+    assert doc["verdict"]["is_mds"] is True
+    code2, mds_doc = run(capsys, "check-mds", "--profile", write_profile(tmp_path, doc))
+    assert code2 == 0 and mds_doc["agree"] and mds_doc["verdicts"][0]["is_mds"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct-even", "--q", "16", "--k", "3", "--t", "", "--h", "", "--eta", ""],
+        ["construct-odd", "--q", "81", "--k", "5", "--t", "1,2", "--h", "2,3", "--eta", ""],
+    ],
+)
+def test_construct_without_eta_exit_code_1(capsys, argv):
+    code, doc = run(capsys, *argv)
+    assert code == 1
+    assert doc["error"]["type"] == "ValueError"
+    assert doc["error"]["message"].startswith("need at least one twist")
+
+
+def test_search_empty_alpha_means_no_fixed_vector(capsys):
+    argv = ["search", "--q", "7", "--n", "5", "--k", "3", "--limit", "4"]
+    assert run(capsys, *argv, "--alpha", "") == run(capsys, *argv)
+
+
+def test_empty_modulus_means_the_default_modulus(capsys):
+    argv = ["construct-even", "--q", "16", "--k", "3", "--t", "2,3", "--h", "1,2", "--eta", "a^3,a^3+a^2"]
+    code, doc = run(capsys, *argv, "--modulus", "")
+    assert code == 0 and doc["field"]["modulus"] == [1, 1, 0, 0, 1]
+    assert (code, doc) == run(capsys, *argv)
 
 
 def test_usage_error_exit_code_2(capsys):
