@@ -264,26 +264,23 @@ def subset_walk(n: int, k: int, root, step):
 def is_mds_bruteforce(view: LinearCodeView) -> MdsVerdict:
     """MDS iff every k-subset of generator columns is independent.
 
-    The subset walk keeps an echelon basis of each prefix's columns, each
-    unnormalized with -1/pivot beside it, and reduces each next column j
-    against it.  A column that reduces to zero makes every completion of
-    its prefix singular, so the first subset the walk dooms is the
-    lex-first singular one."""
+    The subset walk keeps the Schur complement of each prefix: G's rows
+    eliminated on its pivot columns, the pivot rows dropped.  A column j
+    that is zero on every remaining row lies in the prefix's span and makes
+    every completion singular, so the first subset the walk dooms is the
+    lex-first singular one; otherwise the first row nonzero at j pivots."""
     ctx = view.ctx
-    cols = list(zip(*view.g.data))
 
-    def reduce(basis, j):  # basis[i]: (pivot, -1/pivot, column prefix[i] reduced)
-        v = cols[j]
-        for piv, minus_inv, b in basis:
-            if v[piv]:
-                v = ctx.add_scaled(v, ctx.mul(minus_inv, v[piv]), b)
-        piv = next((i for i, x in enumerate(v) if x), None)
-        if piv is None:
+    def pivot(rows, j):
+        i = next((i for i, r in enumerate(rows) if r[j]), None)
+        if i is None:
             return None
-        return [*basis, (piv, ctx.neg(ctx.inv(v[piv])), v)]
+        piv = rows[i]
+        minus_inv = ctx.neg(ctx.inv(piv[j]))
+        return rows[:i] + [ctx.add_scaled(r, ctx.mul(minus_inv, r[j]), piv) if r[j] else r for r in rows[i + 1 :]]
 
-    for subset, basis in subset_walk(view.n, view.k, [], reduce):
-        if basis is None:
+    for subset, rows in subset_walk(view.n, view.k, view.g.data, pivot):
+        if rows is None:
             return MdsVerdict(False, "bruteforce", subset)
     return MdsVerdict(True, "bruteforce")
 

@@ -4,9 +4,9 @@ Matrices are small (code lengths stay below ~100), so everything is plain
 row-major lists of element indices.  Pivoting is deterministic: leftmost
 nonzero column, topmost nonzero row.  One forward-elimination pass, with
 its pivots left unnormalized, decides rank, determinant and
-nonsingularity; RREF and the kernel add a back pass that scales each
-pivot to 1 and clears above it.  No numerical concerns exist in exact
-arithmetic, so that one pass serves every routine here.
+nonsingularity, and the kernel back-substitutes on its rows; RREF adds a
+back pass that scales each pivot to 1 and clears above it.  Exact
+arithmetic has no numerical concerns, so one pass serves every routine.
 """
 
 from __future__ import annotations
@@ -129,16 +129,19 @@ class Matrix:
 
     def null_space(self) -> "Matrix":
         """Basis of the right kernel, one basis vector per row; the matrix
-        has cols - rank rows (possibly zero)."""
+        has cols - rank rows (possibly zero).  Vector f, 1 on free column f
+        and 0 on the others (the RREF basis), is back-substituted bottom-up
+        on the forward pass's rows: v[c] = -(row . v)/row[c], pivot c."""
         ctx = self.ctx
-        reduced, pivots = self._reduce()
-        free = [c for c in range(self.cols) if c not in pivots]
+        m = list(self.data)
+        pivots, _, _ = self.forward(ctx, m, self.cols)
+        back = [(row, c, ctx.neg(ctx.inv(row[c]))) for row, c in zip(m, pivots)][::-1]
         basis = []
-        for f in free:
+        for f in (c for c in range(self.cols) if c not in pivots):
             v = [0] * self.cols
             v[f] = ctx.one
-            for i, pc in enumerate(pivots):
-                v[pc] = ctx.neg(reduced[i][f])
+            for row, c, minus_inv in back:
+                v[c] = ctx.mul(ctx.dot(row, v), minus_inv)
             basis.append(v)
         return Matrix(ctx, basis)
 

@@ -101,3 +101,18 @@ def naive_rref(ctx, rows):
                 m[i] = [ctx.sub(x, ctx.mul(f, y)) for x, y in zip(m[i], m[r])]
         pivots.append(c)
     return m, pivots
+
+
+def naive_kernel(ctx, rows, ncols):
+    """The RREF kernel basis from naive_rref: vector f is 1 on free column
+    f, 0 on the other free columns and minus row i's entry f on pivot
+    column i."""
+    want, pivots = naive_rref(ctx, rows)
+    kernel = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        v = [0] * ncols
+        v[f] = ctx.one
+        for row, pc in zip(want, pivots):
+            v[pc] = ctx.neg(row[f])
+        kernel.append(v)
+    return kernel

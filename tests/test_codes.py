@@ -22,6 +22,7 @@ from twistedrs.codes import (
     subset_walk,
     twisted_poly,
 )
+from twistedrs.criteria import subfield_chain_construct
 from twistedrs.field import Field
 from twistedrs.hull import construct_even, construct_odd
 from twistedrs.linalg import Matrix, row_space_intersection
@@ -306,6 +307,68 @@ def test_prefix_walk_matches_per_subset_scan_sampled():
         drawn[ell, _walk_matches_scan(LinearCodeView.of_code(code))] += 1
     assert all(drawn[ell, False] + drawn[ell, True] for ell in range(4)), drawn
     assert sum(drawn[ell, False] for ell in range(4)) >= 20, drawn
+
+
+# the benchmark's verdict layouts: twists per layout, hooks drawn at random
+# ("dt" is the double twist (1, 2) with hooks (0, 1)); "rs" and "sub", a
+# subfield chain q0 < q, are MDS by construction
+BENCH_TWISTS = {"dt": (1, 2), "ell1": (2,), "ell2": (1, 3), "ell3": (1, 2, 4)}
+BENCH_SUBFIELDS = {81: 9, 243: None, 256: 16}
+
+
+def _bench_sized_code(ctx, rng, layout, n, k):
+    if layout == "rs":
+        return MultiTwistedCode(ctx, TwistProfile(k), rng.sample(range(ctx.q), n))
+    if layout == "sub":
+        q0 = BENCH_SUBFIELDS[ctx.q]
+        eta = rng.choice([x for x in range(1, ctx.q) if not ctx.is_in_subfield(x, q0)])
+        pts = rng.sample(ctx.subfield_elements(q0), min(n, q0))
+        return subfield_chain_construct(ctx, (q0, ctx.q), pts, k, (2,), (rng.randrange(k),), (eta,))
+    t = BENCH_TWISTS[layout]
+    h = (0, 1) if layout == "dt" else tuple(sorted(rng.sample(range(k), len(t))))
+    eta = tuple(rng.randrange(1, ctx.q) for _ in t)
+    return MultiTwistedCode(ctx, TwistProfile(k, t, h, eta), rng.sample(range(ctx.q), n))
+
+
+@pytest.mark.parametrize("q", [81, 243, 256])
+def test_prefix_walk_matches_per_subset_scan_at_bench_sizes(q):
+    """The walk against the per-subset scan at the benchmark's verdict
+    sizes, n <= 10 (and n <= q0 on a subfield) and k <= 5, in every
+    layout: RS and subfield chains, which are MDS, and random twists,
+    which at n = 10 often are not."""
+    ctx = Field.of_order(q)
+    rng = random.Random(f"bench-sizes/{q}")
+    layouts = ["rs", *BENCH_TWISTS] + (["sub"] if BENCH_SUBFIELDS[q] else [])
+    drawn = Counter()
+    for layout in layouts:
+        for n, k in [(7, 3), (8, 4), (10, 5), (10, 4)]:
+            for _ in range(1 if layout in ("rs", "sub") else 3):
+                mds = _walk_matches_scan(LinearCodeView.of_code(_bench_sized_code(ctx, rng, layout, n, k)))
+                assert mds or layout not in ("rs", "sub")
+                drawn[mds] += 1
+    assert drawn[False] >= 5 and drawn[True] >= 10, drawn
+
+
+@pytest.mark.parametrize("q", [81, 243, 256])
+def test_prefix_walk_dooms_dependent_leading_columns(q):
+    """Generators whose first k columns are dependent, column d in 1..k-1
+    a combination of the columns before it (column 0 zero when k = 1):
+    the walk dooms the first prefix and names columns 0..k-1."""
+    ctx = Field.of_order(q)
+    rng = random.Random(f"dependent-lead/{q}")
+    for k in range(1, 6):
+        for n in (k + 1, 10):
+            d = rng.randrange(1, k) if k > 1 else 0
+            while True:
+                rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+                coef = [rng.randrange(q) for _ in range(d)]
+                for r in rows:
+                    r[d] = ctx.dot(coef, r[:d])
+                if Matrix(ctx, rows).rank() == k:
+                    break
+            view = LinearCodeView(Matrix(ctx, rows))
+            assert is_mds_bruteforce(view).witness == tuple(range(k))
+            _walk_matches_scan(view)
 
 
 def test_prefix_walk_on_zero_repeated_and_full_columns(f4, f16):

@@ -393,6 +393,22 @@ def test_subfield_membership_count(f81):
     assert len(f81.subfield_elements(3)) == 3
 
 
+@pytest.mark.parametrize("q", [64, 729, 4096])
+def test_subfield_elements_match_the_definition(q):
+    """subfield_elements(q0) reads the log table; the definition is the
+    set of x with x^q0 == x, checked on every subfield, the field itself
+    included, and a non-subfield order is refused."""
+    ctx = Field.of_order(q)
+    orders = [ctx.p**d for d in range(1, ctx.m + 1) if ctx.m % d == 0]
+    for q0 in orders:
+        members = ctx.subfield_elements(q0)
+        assert members == [x for x in range(q) if ctx.pow(x, q0) == x]
+        assert len(members) == q0
+    assert len(orders) == {64: 4, 729: 4, 4096: 6}[q]
+    with pytest.raises(ValueError, match="subfield order"):
+        ctx.subfield_elements(ctx.p ** (ctx.m - 1))  # m - 1 does not divide m = 6 or 12
+
+
 # -- parse / format -------------------------------------------------------------
 
 

@@ -23,7 +23,7 @@ from twistedrs.hull import (
 from twistedrs.linalg import Matrix
 from twistedrs.profiles import load_profile
 
-from helpers import blocks_generator, field_sum
+from helpers import blocks_generator, field_sum, naive_kernel
 
 
 def strings(ctx, m):
@@ -125,6 +125,27 @@ def test_hull_correspondence_random_codes():
             assert (rep.hull_dim, rep.hull_basis) == hull_direct(view)
             assert rep.gram_rank == rep.gram.rank() == k - rep.hull_dim
             assert 0 <= rep.hull_dim <= min(k, n - k)
+
+
+def test_gram_kernels_at_bench_sizes_match_naive_gauss_jordan():
+    """hull_report and hull_direct share Matrix.null_space, so the Gram
+    kernel is checked against textbook Gauss-Jordan: a 20 x 20 Gram of an
+    [40, 20] one-twist code over GF(243), and the singular Grams of two
+    odd-q constructions over GF(243), 10 x 10 and 21 x 21."""
+    f243 = Field.of_order(243)
+    rng = random.Random(243)
+    ell1 = MultiTwistedCode(
+        f243, TwistProfile(20, (2,), (rng.randrange(20),), (rng.randrange(1, 243),)), rng.sample(range(243), 40)
+    )
+    codes_ = [ell1, construct_odd(f243, 11, (1, 3), (2, 5), (7, 90)), construct_odd(f243, 22, (4,), (9,), (131,))]
+    shapes = []
+    for code in codes_:
+        rep = hull_report(LinearCodeView.of_code(code))
+        kern = rep.gram.null_space()
+        assert kern.data == naive_kernel(f243, rep.gram.data, rep.gram.cols)
+        assert kern.rows == rep.hull_dim
+        shapes.append((rep.gram.rows, rep.hull_dim > 0))
+    assert shapes[0][0] == 20 and shapes[1:] == [(10, True), (21, True)]
 
 
 # -- the even-q family ----------------------------------------------------------------

@@ -9,7 +9,7 @@ import pytest
 from twistedrs.field import Field
 from twistedrs.linalg import Matrix, row_space_intersection
 
-from helpers import identity, laplace_det, minor_rank, mul_vector, naive_rref
+from helpers import identity, laplace_det, minor_rank, mul_vector, naive_kernel, naive_rref
 
 
 def rand_matrix(ctx, rng, rows, cols):
@@ -110,16 +110,60 @@ def test_rref_kernel_and_row_basis_match_naive_gauss_jordan(q):
         want, pivots = naive_rref(ctx, rows)
         assert m.rref().data == want, rows
         assert m.row_space_basis().data == want[: len(pivots)], rows
-        kernel = []
-        for f in (c for c in range(m.cols) if c not in pivots):
-            v = [0] * m.cols
-            v[f] = ctx.one
-            for row, pc in zip(want, pivots):
-                v[pc] = ctx.neg(row[f])
-            kernel.append(v)
-        assert m.null_space().data == kernel, rows
+        assert m.null_space().data == naive_kernel(ctx, rows, m.cols), rows
     empty = Matrix(ctx, [])
     assert (empty.rref().data, empty.row_space_basis().data, empty.null_space().data) == ([], [], [])
+
+
+def _kernel_edge_shapes(ctx, rng):
+    """Matrices whose shape back-substitution is sensitive to, each with
+    random nonzero entries where the shape leaves them free."""
+    def nz():
+        return rng.randrange(1, ctx.q)
+
+    def rand(nr, nc):
+        return [[rng.randrange(ctx.q) for _ in range(nc)] for _ in range(nr)]
+
+    yield from ([[0] * nc for _ in range(nr)] for nr, nc in [(1, 1), (1, 5), (3, 1), (3, 4), (4, 3)])
+    for nc in (1, 2, 6):  # 1 x n
+        yield rand(1, nc)
+        yield [[0] * (nc - 1) + [nz()]]
+    for nr in (1, 2, 6):  # n x 1
+        yield rand(nr, 1)
+        yield [[0] for _ in range(nr - 1)] + [[nz()]]
+    for _ in range(4):
+        rows = rand(5, 6)  # zero rows on top, between and below the others
+        for i in rng.sample(range(5), 2):
+            rows[i] = [0] * 6
+        yield rows
+        lead = rng.randint(1, 4)  # zero columns before the first pivot
+        yield [[0] * lead + r for r in rand(rng.randint(1, 4), rng.randint(1, 4))]
+    # pivot rows whose other nonzeros lie on free columns only: echelon rows
+    # over pivots 0, 2, 5 with entries off the pivots only on columns 1, 3, 4, 6
+    for _ in range(4):
+        rows = [[0] * 7 for _ in range(3)]
+        for r, c in enumerate((0, 2, 5)):
+            rows[r][c] = nz()
+            for f in (1, 3, 4, 6):
+                if f > c:
+                    rows[r][f] = rng.randrange(ctx.q)
+        yield rows
+        yield rows[::-1]  # the same rows bottom-up, so the forward pass swaps
+    yield [[nz(), 0, 0, nz()], [0, 0, 0, nz()]]  # a zero-column gap between pivots
+
+
+@pytest.mark.parametrize("q", [2, 7, 16, 81])
+def test_kernel_on_edge_shapes_matches_naive_gauss_jordan(q):
+    ctx = Field.of_order(q)
+    rng = random.Random(f"kernel-shapes/{q}")
+    shapes = 0
+    for rows in _kernel_edge_shapes(ctx, rng):
+        m = Matrix(ctx, rows)
+        kern = m.null_space()
+        assert kern.data == naive_kernel(ctx, rows, m.cols), rows
+        assert all(x == 0 for v in kern.data for x in mul_vector(m, v)), rows
+        shapes += 1
+    assert shapes == 34
 
 
 def _forced_singular(ctx, rng, rows):
