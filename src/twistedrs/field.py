@@ -270,25 +270,25 @@ class Field:
         return table
 
     def _build_tables(self):
-        """Walk the powers of gamma: x * gamma mod p in GF(p); otherwise, as
-        multiplication by gamma is GF(p)-linear on digit vectors, low[lo] +
-        high[hi] for x = lo + p^h * hi, with low and high spanned by the m
-        products p^j * gamma, the only schoolbook products taken here."""
-        p, m, n, g = self.p, self.m, self.q - 1, self.gamma
+        """Walk the powers of gamma with table lookups only.
+
+        Multiplication by gamma is GF(p)-linear on digit vectors, so for
+        x = lo + p^h * hi it is low[lo] + high[hi], where low and high are
+        spanned by the m products p^j * gamma, the only schoolbook products
+        taken here."""
+        p, m, n = self.p, self.m, self.q - 1
+        h = (m + 1) // 2
+        basis = [self._mul_schoolbook(p**j, self.gamma) for j in range(m)]
+        low, high = self._span(basis[:h]), self._span(basis[h:])
+        split = p**h
+        add = operator.xor if p == 2 else self.add  # xor skips a method call per step
         exp = [0] * n
         log = [-1] * self.q
         x = self.one
-        if m == 1:
-            for i in range(n):
-                exp[i], log[x], x = x, i, x * g % p  # log[x] is stored before x steps
-        else:
-            h = (m + 1) // 2
-            basis = [self._mul_schoolbook(p**j, g) for j in range(m)]
-            low, high = self._span(basis[:h]), self._span(basis[h:])
-            split = p**h
-            add = operator.xor if p == 2 else self.add  # xor skips a method call per step
-            for i in range(n):
-                exp[i], log[x], x = x, i, add(low[x % split], high[x // split])
+        for i in range(n):
+            exp[i] = x
+            log[x] = i
+            x = add(low[x % split], high[x // split])
         if x != self.one or -1 in log[1:]:
             raise ValueError("primitive element does not generate the field")
         self._exp = exp + exp  # two periods, so mul needs no reduction
@@ -397,23 +397,20 @@ class Field:
 
     # -- subfields -----------------------------------------------------------
 
-    def _subfield_order(self, q0: int) -> int:
-        """q0, refused unless it is p^d with d | m."""
+    def is_in_subfield(self, x: FieldElement, q0: int) -> bool:
+        """True iff x lies in the subfield of order q0, i.e. x^q0 == x."""
         d, n = 0, q0
         while n > 1 and n % self.p == 0:
             n //= self.p
             d += 1
         if n != 1 or d == 0 or self.m % d != 0:
             raise ValueError(f"{q0} is not a subfield order of {self.q}")
-        return q0
-
-    def is_in_subfield(self, x: FieldElement, q0: int) -> bool:
-        """True iff x lies in the subfield of order q0, i.e. x^q0 == x."""
-        return self.pow(x, self._subfield_order(q0)) == x
+        return self.pow(x, q0) == x
 
     def subfield_elements(self, q0: int) -> list[FieldElement]:
-        step, log = (self.q - 1) // (self._subfield_order(q0) - 1), self._log  # 0, gamma^(step i)
-        return [x for x in range(self.q) if x == 0 or log[x] % step == 0]
+        self.is_in_subfield(self.zero, q0)  # refuses q0 unless it is p^d with d | m
+        step = (self.q - 1) // (q0 - 1)  # the subfield is 0 and the powers gamma^(step i)
+        return [x for x in range(self.q) if x == 0 or self._log[x] % step == 0]
 
     # -- text form -----------------------------------------------------------
 
