@@ -68,13 +68,19 @@ def _field_from_args(args) -> Field:
     return Field.of_order(args.q, args.modulus or None)
 
 
+_CODE_FLAGS = ("q", "modulus", "alpha", "k", "t", "h", "eta")
+
+
 def _code_from_args(args) -> MultiTwistedCode:
     if args.profile:
+        given = [f"--{flag}" for flag in _CODE_FLAGS if getattr(args, flag) is not None]
+        if given:
+            raise ValueError(f"--profile gives the whole code; drop {', '.join(given)}")
         return load_profile(args.profile)
     ctx = _field_from_args(args)
     if args.alpha is None or args.k is None:
         raise ValueError("without --profile, --alpha and --k are required")
-    profile = TwistProfile(args.k, args.t, args.h, ctx.parse_vector(args.eta))
+    profile = TwistProfile(args.k, args.t or (), args.h or (), ctx.parse_vector(args.eta or ()))
     return MultiTwistedCode(ctx, profile, ctx.parse_vector(args.alpha))
 
 
@@ -85,9 +91,9 @@ def _add_field_flags(p, required=False):
 
 def _add_twist_flags(p, required):
     p.add_argument("--k", type=int, required=required)
-    p.add_argument("--t", type=_ints, default=(), required=required, help="comma-separated twists")
-    p.add_argument("--h", type=_ints, default=(), required=required, help="comma-separated hooks")
-    p.add_argument("--eta", type=_items, default=(), required=required, help=f"twist coefficients: {_ELEMENTS}")
+    p.add_argument("--t", type=_ints, required=required, help="comma-separated twists")
+    p.add_argument("--h", type=_ints, required=required, help="comma-separated hooks")
+    p.add_argument("--eta", type=_items, required=required, help=f"twist coefficients: {_ELEMENTS}")
 
 
 def _add_code_flags(p):

@@ -31,9 +31,7 @@ def elem_sym(ctx: Field, values) -> list[FieldElement]:
     """All elementary symmetric polynomials e_0..e_len of the values."""
     e = [ctx.one]
     for v in values:
-        e.append(0)
-        for j in range(len(e) - 1, 0, -1):
-            e[j] = ctx.add(e[j], ctx.mul(v, e[j - 1]))
+        e = ctx.add_scaled(e + [0], v, [0] + e)  # e'_j = e_j + v e_(j-1), _elem_sym_walk's step
     return e
 
 
@@ -140,7 +138,7 @@ def appendix_a_determinants(code: MultiTwistedCode) -> list[FieldElement]:
 
 def subfield_chain_construct(ctx: Field, chain, alpha, k, t, h, eta) -> MultiTwistedCode:
     """Code guaranteed MDS by taking evaluation points inside the smallest
-    field of a proper subfield chain and eta_i in F_{q_i} minus F_{q_i-1}."""
+    field of a chain of nested subfields and eta_i in F_{q_i} minus F_{q_i-1}."""
     chain = tuple(chain)
     t, h, eta = tuple(t), tuple(h), tuple(eta)
     if len(chain) != len(t) + 1:
@@ -149,6 +147,10 @@ def subfield_chain_construct(ctx: Field, chain, alpha, k, t, h, eta) -> MultiTwi
         raise ValueError("chain orders must be strictly increasing")
     if chain[-1] != ctx.q:
         raise ValueError(f"chain must end at the ambient field order {ctx.q}")
+    for a, b in zip(chain, chain[1:]):
+        ctx.is_in_subfield(ctx.zero, a)  # refuses a unless it is p^d with d | m
+        if (b - 1) % (a - 1):  # F_a lies in F_b iff a - 1 divides b - 1
+            raise ValueError(f"chain {chain} is not nested: F_{a} is not a subfield of F_{b}")
     for x in alpha:
         if not ctx.is_in_subfield(x, chain[0]):
             raise ValueError(

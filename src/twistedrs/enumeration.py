@@ -415,23 +415,22 @@ def search_mds(
     # k < n <= q and the degree bound as it does for a fixed alpha
     MultiTwistedCode(ctx, TwistProfile(k, t, h, (ctx.one,) * ell), range(n) if alpha is None else alpha)
     special = (t, h) == DOUBLE_TWIST
+    method = "remark44" if special else "theorem31"
 
-    def check(al, eta):
+    def is_mds(al, eta) -> bool:
         if special:
-            return "remark44" if remark44_is_mds(ctx, al, k, eta[0], eta[1]).is_mds else None
-        code = MultiTwistedCode(ctx, TwistProfile(k, t, h, eta), al)
-        return "theorem31" if theorem31_is_mds(code).is_mds else None
+            return remark44_is_mds(ctx, al, k, eta[0], eta[1]).is_mds
+        return theorem31_is_mds(MultiTwistedCode(ctx, TwistProfile(k, t, h, eta), al)).is_mds
 
     if strategy == "exhaustive":
         alphas = [alpha] if alpha is not None else itertools.combinations(range(ctx.q), n)
         for al in alphas:
             if special:
                 for eta in remark44_mds_etas(ctx, al, k):
-                    yield SearchHit(al, eta, "remark44")
+                    yield SearchHit(al, eta, method)
                 continue
             for eta in itertools.product(range(1, ctx.q), repeat=ell):
-                method = check(al, eta)
-                if method:
+                if is_mds(al, eta):
                     yield SearchHit(al, eta, method)
     elif strategy == "random":
         if trials < 1:
@@ -440,8 +439,7 @@ def search_mds(
         for _ in range(trials):
             al = alpha if alpha is not None else tuple(sorted(rng.sample(range(ctx.q), n)))
             eta = tuple(rng.randrange(1, ctx.q) for _ in range(ell))
-            method = check(al, eta)
-            if method:
+            if is_mds(al, eta):
                 yield SearchHit(al, eta, method)
     else:
         raise ValueError(f"unknown strategy {strategy!r}")

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import operator
 from functools import cache, reduce
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 
 FieldElement = int  # index encoding, see module docstring
@@ -45,14 +45,8 @@ def _prime_factors(n: int) -> list[int]:
 
 # -- polynomial helpers over GF(p), coefficients low-to-high ----------------
 
-def _poly_trim(c: list[int]) -> list[int]:
-    while len(c) > 1 and c[-1] == 0:
-        c.pop()
-    return c
-
-
-def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
-    """Remainder of num mod den over GF(p); den must be nonzero."""
+def _poly_rem(num: Sequence[int], den: Sequence[int], p: int) -> list[int]:
+    """num mod den over GF(p), deg(den) coefficients long; den must be nonzero."""
     num = list(num)
     dd = len(den) - 1
     inv_lead = pow(den[-1], -1, p)
@@ -63,7 +57,23 @@ def _poly_rem(num: list[int], den: list[int], p: int) -> list[int]:
         factor = (coef * inv_lead) % p
         for j, dj in enumerate(den):
             num[i - dd + j] = (num[i - dd + j] - factor * dj) % p
-    return _poly_trim([c % p for c in num[:dd]] or [0])
+    return [c % p for c in num[:dd]]
+
+
+def _poly_text(coeffs: Sequence[int], var: str) -> str:
+    """The nonzero terms of a polynomial in var, coefficients low-to-high,
+    highest power first, e.g. 'x^3 + 2*x + 1'; "0" when there are none."""
+    terms = []
+    for j in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[j]
+        if c == 0:
+            continue
+        if j == 0:
+            terms.append(str(c))
+        else:
+            power = var if j == 1 else f"{var}^{j}"
+            terms.append(power if c == 1 else f"{c}*{power}")
+    return " + ".join(terms) or "0"
 
 
 @cache
@@ -81,7 +91,7 @@ def is_irreducible(modulus: tuple[int, ...], p: int) -> bool:
     for d in range(1, deg // 2 + 1):
         for idx in range(p**d):
             den = [(idx // p**j) % p for j in range(d)] + [1]
-            if _poly_rem(list(modulus), den, p) == [0]:
+            if not any(_poly_rem(modulus, den, p)):
                 return False
     return True
 
@@ -212,8 +222,7 @@ class Field:
             if xi:
                 for j, yj in enumerate(yc):
                     prod[i + j] = (prod[i + j] + xi * yj) % self.p
-        rem = _poly_rem(prod, list(self.modulus), self.p)
-        return self.from_coeffs(rem)
+        return self.from_coeffs(_poly_rem(prod, self.modulus, self.p))
 
     def _pow_schoolbook(self, x: FieldElement, e: int) -> FieldElement:
         r = self.one
@@ -416,20 +425,7 @@ class Field:
 
     def format(self, x: FieldElement) -> str:
         """Element as a sum of descending powers of a, e.g. 'a^3 + a^2 + 1'."""
-        if x == 0:
-            return "0"
-        terms = []
-        cs = self.coeffs(x)
-        for j in range(self.m - 1, -1, -1):
-            c = cs[j]
-            if c == 0:
-                continue
-            if j == 0:
-                terms.append(str(c))
-            else:
-                var = "a" if j == 1 else f"a^{j}"
-                terms.append(var if c == 1 else f"{c}*{var}")
-        return " + ".join(terms)
+        return _poly_text(self.coeffs(x), "a")
 
     def parse(self, s: str) -> FieldElement:
         """Inverse of format; also accepts exponents >= m (reduced mod the
@@ -473,12 +469,7 @@ class Field:
         return tuple(self.parse(s) if isinstance(s, str) else int(s) for s in items)
 
     def __repr__(self):
-        mod = " + ".join(
-            f"x^{j}" if c == 1 and j > 1 else ("x" if c == 1 and j == 1 else (f"{c}" if j == 0 else f"{c}*x^{j}"))
-            for j, c in reversed(list(enumerate(self.modulus)))
-            if c
-        )
-        return f"Field(GF({self.q}), modulus={mod})"
+        return f"Field(GF({self.q}), modulus={_poly_text(self.modulus, 'x')})"
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.spec == other.spec

@@ -166,7 +166,5 @@ def row_space_intersection(a: Matrix, b: Matrix) -> Matrix:
         raise ValueError("dimension mismatch in row-space intersection")
     stacked = a.stack(b)
     kern = stacked.transpose().null_space()
-    if kern.rows == 0:
-        return Matrix(a.ctx, [])
     cand = [a.left_mul_vector(w[: a.rows]) for w in kern.data]
     return Matrix(a.ctx, cand).row_space_basis()

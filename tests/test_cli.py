@@ -1,7 +1,9 @@
 """CLI subcommands: JSON output, exit codes, profile round-trips."""
 
+import argparse
 import json
 import os
+import shlex
 import subprocess
 import sys
 import time
@@ -100,6 +102,25 @@ def test_check_mds_error_paths_exit_code_1(capsys, argv, message):
     code, doc = run(capsys, "check-mds", *argv)
     assert code == 1
     assert doc == {"error": {"type": "ValueError", "message": message}}
+
+
+@pytest.mark.parametrize("command", ["check-mds", "hull", "min-distance"])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--q", "7"), ("--modulus", ""), ("--alpha", "0,1,2"), ("--k", "2"), ("--t", ""), ("--h", "0"), ("--eta", "")],
+)
+def test_profile_beside_an_inline_code_flag_exit_code_1(capsys, tmp_path, command, flag, value):
+    # the profile is the whole code, so a flag beside it would be ignored;
+    # "" counts as given
+    path = write_profile(tmp_path, GF7_PROFILE)
+    code, doc = run(capsys, command, "--profile", path, flag, value)
+    assert code == 1
+    assert doc == {"error": {"type": "ValueError", "message": f"--profile gives the whole code; drop {flag}"}}
+
+
+def test_inline_code_without_twist_flags_has_no_twists(capsys):
+    code, doc = run(capsys, "check-mds", "--q", "7", "--alpha", "0,1,2", "--k", "2")
+    assert code == 0 and doc["agree"] and doc["verdicts"][0]["is_mds"]
 
 
 def test_min_distance(tmp_path, capsys):
@@ -272,6 +293,19 @@ def test_subfield_construct(capsys, tmp_path):
     assert code2 == 0 and hull_doc["dim"] == 2
     code3, mds_doc = run(capsys, "check-mds", "--profile", path, "--method", "bruteforce")
     assert code3 == 0 and mds_doc["verdicts"][0]["is_mds"]
+
+
+def test_subfield_construct_refuses_a_chain_that_is_not_nested(capsys):
+    # F_4 is not inside F_8; on this chain the code is not MDS (witness [0, 3])
+    code, doc = run(
+        capsys, "subfield-construct", "--q", "64", "--chain", "4,8,64",
+        "--alpha", "0,1,a^5 + a^4 + a^3 + a,a^5 + a^4 + a^3 + a + 1", "--k", "2", "--t", "1,2",
+        "--h", "0,1", "--eta", "a^4 + a^3 + 1,a^5 + a^4 + a^3 + a + 1",
+    )
+    assert code == 1
+    assert doc == {
+        "error": {"type": "ValueError", "message": "chain (4, 8, 64) is not nested: F_4 is not a subfield of F_8"}
+    }
 
 
 def test_domain_error_exit_code_1(capsys):
@@ -546,6 +580,34 @@ def _fresh_python(code: str) -> str:
         [sys.executable, "-c", code], env=_fresh_env(), capture_output=True, text=True, timeout=60, check=True
     )
     return proc.stdout.strip()
+
+
+def _readme_cli_examples():
+    """(argv lists, profile text) from README's "CLI" section: its command
+    block with the backslash continuations joined, and its JSON profile."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    commands = section.split("\n```\n", 2)[1]
+    profile = section.split("\n```json\n", 1)[1].split("\n```", 1)[0]
+    return [shlex.split(line) for line in commands.replace("\\\n", " ").splitlines()], profile
+
+
+README_CLI, README_PROFILE = _readme_cli_examples()
+
+
+def test_readme_cli_examples_cover_every_subcommand():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert all(argv[0] == "twistedrs" for argv in README_CLI)
+    assert {argv[1] for argv in README_CLI} == set(sub.choices)
+
+
+@pytest.mark.parametrize("argv", README_CLI)
+def test_readme_cli_example_exits_0(capsys, tmp_path, monkeypatch, argv):
+    # code.json is the section's profile; relative paths such as --out land in tmp_path
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "code.json").write_text(README_PROFILE, encoding="utf-8")
+    code = cli_main(argv[1:])
+    assert code == 0, capsys.readouterr().out
 
 
 def test_cli_import_leaves_numpy_unloaded():

@@ -115,6 +115,19 @@ def test_sigma_matches_expansion_oracle(f16, f81):
             assert sigma_coeffs(ctx, vals) == oracle_expand(ctx, vals)
 
 
+@pytest.mark.parametrize("q", [2, 25, 27])
+def test_elem_sym_matches_expansion_oracle_with_zeros_and_repeats(q):
+    """e of the negated values, read from the top, is the monic product of
+    (x - v); every list holds 0 and a repeated value."""
+    ctx = Field.of_order(q)
+    rng = random.Random(q)
+    for _ in range(40):
+        x = rng.randrange(q)
+        vals = [0, x, x] + [rng.randrange(q) for _ in range(rng.randint(0, 5))]
+        rng.shuffle(vals)
+        assert elem_sym(ctx, [ctx.neg(v) for v in vals])[::-1] == oracle_expand(ctx, vals)
+
+
 def test_elem_sym_ties_to_sigma(f16, f81):
     rng = random.Random(83)
     for ctx in (f16, f81):
@@ -364,6 +377,22 @@ def test_chain_membership_violations(f16):
         subfield_chain_construct(f16, (2, 4, 16), (0, 1), 1, (1, 2), (0, 0), (f16.parse("a"), 1))
 
 
+def test_chain_must_be_nested():
+    """The orders 4 < 8 < 64 increase and each is a subfield order of
+    GF(64), but F_4 is not inside F_8, so the chain is refused: on it the
+    construction's guarantee fails, and this code is not MDS."""
+    ctx = Field.of_order(64)
+    alpha = ctx.parse_vector(["0", "1", "a^5 + a^4 + a^3 + a", "a^5 + a^4 + a^3 + a + 1"])
+    eta = ctx.parse_vector(["a^4 + a^3 + 1", "a^5 + a^4 + a^3 + a + 1"])
+    code = MultiTwistedCode(ctx, TwistProfile(2, (1, 2), (0, 1), eta), alpha)
+    assert not is_mds_bruteforce(LinearCodeView.of_code(code)).is_mds
+    with pytest.raises(ValueError, match=r"^chain \(4, 8, 64\) is not nested: F_4 is not a subfield of F_8$"):
+        subfield_chain_construct(ctx, (4, 8, 64), alpha, 2, (1, 2), (0, 1), eta)
+    # an order that is no subfield order is refused before it is divided by
+    with pytest.raises(ValueError, match="^1 is not a subfield order of 16$"):
+        subfield_chain_construct(Field.of_order(16), (1, 16), (), 1, (1,), (0,), (2,))
+
+
 # -- double-twist closed forms -----------------------------------------------------------
 
 
@@ -575,6 +604,39 @@ def test_full_length_k2_diagonal_is_family_1(q):
     family_2 = {(eta, ctx.div(eta, nine)) for eta in family_1} if ctx.p >= 5 else set()
     assert {(e1, e2) for e1, e2 in hits if e1 != e2} == family_2
     assert len(hits) == FULL_LENGTH_K2_PAIRS[q]
+
+
+@pytest.mark.parametrize("q", [7, 8, 9, 16, 25])
+def test_full_length_k2_reduction(q):
+    """README, "Full-length k = 2 codes", in s = a + b and p = ab: a pair
+    of distinct points has class (p, s^2 - p), and its closed form
+    (1 - p eta1)(1 - p eta2) + s^2 eta2 vanishes exactly at the eta2 that
+    remark44_bad_eta2 lists.  For odd q, eta2 B(p) with
+    A(p) = -(1 - p eta1)(1 - p eta2)/eta2 and B(p) = A(p) - 4p is the
+    quadratic -1 + (eta1 - 3 eta2) p - eta1 eta2 p^2, whose discriminant
+    is (eta1 - eta2)(eta1 - 9 eta2)."""
+    ctx = Field.of_order(q)
+    one, mul, sub = ctx.one, ctx.mul, ctx.sub
+    nonzero = range(1, q)
+    for a, b in itertools.combinations(range(q), 2):
+        s, p = ctx.add(a, b), mul(a, b)
+        assert remark44_class(ctx, [a, b], 2) == (p, sub(mul(s, s), p))
+        for eta1 in nonzero:
+            bad = remark44_bad_eta2(ctx, [(p, sub(mul(s, s), p))], eta1)
+            for eta2 in nonzero:
+                form = ctx.add(mul(sub(one, mul(p, eta1)), sub(one, mul(p, eta2))), mul(mul(s, s), eta2))
+                assert (form == 0) == (eta2 in bad), (a, b, eta1, eta2)
+    if q % 2 == 0:
+        return
+    three, four, nine = (field_sum(ctx, [one] * c) for c in (3, 4, 9))
+    for eta1, eta2 in itertools.product(nonzero, repeat=2):
+        lin, quad = sub(eta1, mul(three, eta2)), ctx.neg(mul(eta1, eta2))
+        for p in range(q):
+            big_a = ctx.neg(ctx.div(mul(sub(one, mul(p, eta1)), sub(one, mul(p, eta2))), eta2))
+            expect = ctx.add(ctx.neg(one), ctx.add(mul(lin, p), mul(quad, mul(p, p))))
+            assert mul(eta2, sub(big_a, mul(four, p))) == expect
+        disc = sub(mul(lin, lin), mul(four, mul(quad, ctx.neg(one))))
+        assert disc == mul(sub(eta1, eta2), sub(eta1, mul(nine, eta2)))
 
 
 def test_double_twist_criteria_refuse_values_outside_the_field(f7):

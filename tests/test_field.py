@@ -461,6 +461,14 @@ def test_format_parse_round_trip_all_elements(f16, f81):
             assert ctx.parse(ctx.format(x)) == x
 
 
+def test_repr_prints_the_modulus_as_format_prints_elements():
+    # one printer for both: x, not x^1, for the linear term
+    assert repr(Field.of_order(27)) == "Field(GF(27), modulus=x^3 + 2*x + 1)"
+    assert repr(Field.of_order(81)) == "Field(GF(81), modulus=x^4 + 2*x^3 + 2)"
+    assert repr(Field.of_order(16)) == "Field(GF(16), modulus=x^4 + x + 1)"
+    assert repr(Field.of_order(7)) == "Field(GF(7), modulus=x)"
+
+
 def test_random_string_fuzz_round_trip(f16, f81):
     rng = random.Random(11)
     for _ in range(500):
